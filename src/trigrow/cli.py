@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Sequence
 
 import numpy as np
 
 from . import __version__
-from .conditioning import condition_report, perturbation_experiment, skeel_bound
+from .conditioning import condition_reports, perturbation_experiment, skeel_bound
 from .extscalar import ExtScalar
 from .matgen import (
     MatrixParams,
@@ -76,17 +77,12 @@ def render_json(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
 
+# '"' and '\\' escaped, code points below 0x20 as \u00XX, everything else verbatim
+_JSON_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _json_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
 def _write_report(report: dict, path: str | None) -> None:
@@ -231,14 +227,11 @@ def _matrix_json(params: MatrixParams, what: str) -> dict:
         entries = [[float(v) for v in row] for row in mat.entries]
         return {"kind": "A", "n": mat.n, "shape": mat.shape.value, "entries": entries}
     dec = eigenvector_matrix(params)
-    rows = []
-    for i in range(1, params.m + 1):
-        rows.append([exact_to_json(dec.entry(i, j)) for j in range(1, params.m + 1)])
     return {
         "kind": "X",
         "n": params.m,
         "shape": params.orientation.value,
-        "entries_exact": rows,
+        "entries_exact": dec.rows(exact_to_json),
         "eigenvalues": [float(v) for v in dec.lambdas],
     }
 
@@ -293,12 +286,16 @@ def cmd_cond(args: argparse.Namespace) -> int:
     params.require_distinct_eigenvalues()
     if params.m < 2:
         raise ValueError("cond needs m >= 2 (no nonempty subsystems otherwise)")
-    js = [args.j] if args.j is not None else list(range(1, params.m))
+    if args.j is not None and not 1 <= args.j <= params.m - 1:
+        raise ValueError(f"eigen-index must have a nonempty subsystem: 1 <= j <= {params.m - 1}")
+    reps = condition_reports(params)
+    if args.j is not None:
+        reps = [reps[args.j - 1]]
     reports = []
-    for j in js:
-        rep = condition_report(
-            params, j, epsilon=args.epsilon, trials=args.trials, seed=args.seed
-        )
+    for rep in reps:
+        if args.epsilon is not None and args.trials > 0:
+            stats = perturbation_experiment(params, rep.j, args.epsilon, args.trials, args.seed)
+            rep = replace(rep, perturb_stats=stats)
         d = rep.to_jsonable()
         if rep.kappa_bound is not None:
             d["margin"] = rep.kappa_bound - rep.kappa_exact

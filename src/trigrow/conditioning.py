@@ -18,23 +18,30 @@ import numpy as np
 
 from .extscalar import ExtScalar
 from .matgen import GammaRatio, GeneralSystem, MatrixParams, build_eigvec_subsystem
-from .oracle import OmegaSequence, eigenvalues, solve_closed_form
+from .oracle import OmegaSequence, solve_closed_form
 
 
 def skeel_exact(sys: GeneralSystem) -> float:
-    """Exact Skeel condition number of G x = f via the closed-form inverse.
+    """Exact Skeel condition number of G x = f: the last entry of skeel_exact_prefixes."""
+    return skeel_exact_prefixes(sys)[-1]
+
+
+def skeel_exact_prefixes(sys: GeneralSystem) -> list[float]:
+    """Exact Skeel condition numbers of every leading n-prefix of G x = f, n = 1..sys.n.
 
     y = |G||x| comes from prefix sums of |x|; z = |G^-1| y uses the separable
     closed-form entries |h_ij| = |a_i omega_i| / |d_j omega_{j+1}| when all
     signs are positive, and explicit partial products otherwise (omega ratios
-    can hit 0/0 for sign-mixed diagonals). Converted to float only at the end.
+    can hit 0/0 for sign-mixed diagonals). x_i and z_i depend only on the
+    first i equations, so one pass with running maxima of z and |x| gives
+    every prefix's max(z) / max|x|, converted to float only at the end.
     """
     if sys.n == 0:
         raise ValueError("condition number of an empty system is undefined")
     if sys.c == 0.0:
         # f = c makes x = 0 and G diagonal; |G^-1||G||v| = |v| for every v
         sys.require_nonsingular()
-        return 1.0
+        return [1.0] * sys.n
     seq = OmegaSequence.from_system(sys)
     x = [ak * wk for ak, wk in zip(seq.a, seq.omega)]
     n = sys.n
@@ -62,7 +69,12 @@ def skeel_exact(sys: GeneralSystem) -> float:
                 zi += abs(seq.a[i] / d[j] * prod) * y[j]
                 prod = prod * (1 + seq.a[j])
             z.append(zi)
-    return float(max(z) / max(ax))
+    out = []
+    zmax = xmax = Fraction(0)
+    for zi, xi in zip(z, ax):
+        zmax, xmax = max(zmax, zi), max(xmax, xi)
+        out.append(float(zmax / xmax))  # x_1 = c / d_1 != 0, so xmax > 0
+    return out
 
 
 def skeel_bound(gamma: Union[GammaRatio, Fraction, float, int], n: int) -> float:
@@ -151,21 +163,6 @@ def perturbation_experiment(
     )
 
 
-def eigenvalue_sensitivity(params: MatrixParams, epsilon: float) -> float:
-    """Worst relative eigenvalue shift under diagonal perturbation (1 + delta), |delta| <= eps.
-
-    The eigenvalues are the diagonal entries, so the shift is exactly eps for
-    every index; defined only when no eigenvalue is zero.
-    """
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    lams = eigenvalues(params)
-    if np.any(lams == 0.0):
-        k = int(np.argmax(lams == 0.0)) + 1
-        raise ValueError(f"eigenvalue lambda_{k} is zero; relative shift undefined")
-    return float(epsilon)
-
-
 @dataclass(frozen=True)
 class CondReport:
     """Conditioning summary for one eigenvector subsystem."""
@@ -193,21 +190,21 @@ class CondReport:
         return out
 
 
-def condition_report(
-    params: MatrixParams,
-    j: int,
-    epsilon: Optional[float] = None,
-    trials: int = 0,
-    seed: int = 0,
-) -> CondReport:
-    """Exact kappa, the analytic bound when applicable, and optional perturbation stats."""
-    if not (1 <= j <= params.m - 1):
-        raise ValueError(f"eigen-index must have a nonempty subsystem: 1 <= j <= {params.m - 1}")
-    sub = build_eigvec_subsystem(params, j)
-    kappa = skeel_exact(sub)
+def condition_reports(params: MatrixParams) -> list[CondReport]:
+    """Exact kappa and, when gamma > 1, the analytic bound for every j = 1..m-1.
+
+    The column-j subsystem is the leading (m-j)-prefix of the column-1
+    subsystem, so one exact Skeel pass over the latter gives every kappa.
+    """
+    m = params.m
+    kappas = skeel_exact_prefixes(build_eigvec_subsystem(params, 1))
     gamma = params.gamma().as_float()
-    bound = skeel_bound(gamma, sub.n) if gamma > 1.0 else None
-    stats = None
-    if epsilon is not None and trials > 0:
-        stats = perturbation_experiment(params, j, epsilon, trials, seed)
-    return CondReport(j=j, n=sub.n, kappa_exact=kappa, kappa_bound=bound, perturb_stats=stats)
+    return [
+        CondReport(
+            j=j,
+            n=m - j,
+            kappa_exact=kappas[m - j - 1],
+            kappa_bound=skeel_bound(gamma, m - j) if gamma > 1.0 else None,
+        )
+        for j in range(1, m)
+    ]

@@ -68,18 +68,6 @@ class ExtScalar:
         self.exponent = e - 1
 
     @classmethod
-    def from_float(cls, v: float) -> "ExtScalar":
-        return cls(v)
-
-    @classmethod
-    def zero(cls) -> "ExtScalar":
-        return ZERO
-
-    @classmethod
-    def one(cls) -> "ExtScalar":
-        return ONE
-
-    @classmethod
     def pow2(cls, k: int) -> "ExtScalar":
         """Exact 2**k for any integer k."""
         return _raw(1, 1.0, k)
@@ -266,31 +254,3 @@ class ExtScalar:
 ZERO = _raw(0, 0.0, 0)
 ONE = _raw(1, 1.0, 0)
 
-
-def normalize(v: float) -> ExtScalar:
-    """Exact conversion of a finite native float; errors on NaN/infinity."""
-    return ExtScalar(v)
-
-
-def mul(x: ExtScalar, y: ExtScalar) -> ExtScalar:
-    return x * y
-
-
-def add(x: ExtScalar, y: ExtScalar) -> ExtScalar:
-    return x + y
-
-
-def div(x: ExtScalar, y: ExtScalar) -> ExtScalar:
-    return x / y
-
-
-def cmp_abs(x: ExtScalar, y: ExtScalar) -> int:
-    return x.cmp_abs(y)
-
-
-def to_native(x: ExtScalar) -> float | OutOfRange:
-    return x.to_native()
-
-
-def log2_abs(x: ExtScalar) -> float:
-    return x.log2_abs()

@@ -153,9 +153,6 @@ class GeneralSystem:
         np.fill_diagonal(g, self.d)
         return TriMatrix(g, Orientation.LOWER)
 
-    def rhs(self) -> np.ndarray:
-        return np.full(self.n, self.c)
-
 
 def build_A(params: MatrixParams) -> TriMatrix:
     """The test matrix: diagonal a + j*b, constant -c on one strict triangle."""

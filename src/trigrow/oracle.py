@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .extscalar import ExtScalar
 from .matgen import GammaRatio, GeneralSystem, MatrixParams, Orientation, TriMatrix
 
 Exactish = Union[Fraction, ExtScalar]
+T = TypeVar("T")
 
 
 def log2_fraction(fr: Fraction) -> float:
@@ -238,6 +239,9 @@ class EigenDecomposition:
     growth: GrowthSequence
     orientation: Orientation
 
+    def _zero(self) -> Exactish:
+        return Fraction(0) if self.growth.exact else ExtScalar(0.0)
+
     def entry(self, i: int, j: int) -> Exactish:
         """1-based entry of X (or of the flipped X for upper orientation)."""
         if not (1 <= i <= self.m and 1 <= j <= self.m):
@@ -245,28 +249,32 @@ class EigenDecomposition:
         if self.orientation is Orientation.UPPER:
             i, j = self.m + 1 - i, self.m + 1 - j
         if i < j:
-            return Fraction(0) if self.growth.exact else ExtScalar(0.0)
+            return self._zero()
         return self.growth[i - j]
 
-    def column(self, j: int) -> list[Exactish]:
-        return [self.entry(i, j) for i in range(1, self.m + 1)]
+    def rows(self, convert: Callable[[Exactish], T]) -> list[list[T]]:
+        """X row by row, with convert applied once per diagonal z_k and once to zero."""
+        m = self.m
+        z = [convert(v) for v in self.growth.z]
+        zero = convert(self._zero())
+        lower = [z[i::-1] + [zero] * (m - 1 - i) for i in range(m)]
+        if self.orientation is Orientation.UPPER:
+            return [row[::-1] for row in reversed(lower)]
+        return lower
 
     def dense_fractions(self) -> list[list[Fraction]]:
         if not self.growth.exact:
             raise ValueError("dense_fractions requires an exact growth sequence")
-        return [[self.entry(i, j) for j in range(1, self.m + 1)] for i in range(1, self.m + 1)]
+        return self.rows(lambda v: v)
 
     def to_trimatrix(self) -> TriMatrix:
         """Native-float X; raises OverflowError when entries exceed the double range."""
-        ent = np.zeros((self.m, self.m))
-        for i in range(1, self.m + 1):
-            for j in range(1, self.m + 1):
-                v = self.entry(i, j)
-                ent[i - 1, j - 1] = float(v) if isinstance(v, Fraction) else _ext_to_float(v)
-        return TriMatrix(ent, self.orientation)
+        return TriMatrix(np.array(self.rows(_to_float), dtype=np.float64), self.orientation)
 
 
-def _ext_to_float(v: ExtScalar) -> float:
+def _to_float(v: Exactish) -> float:
+    if isinstance(v, Fraction):
+        return float(v)
     f = v.to_native()
     if isinstance(f, float):
         return f

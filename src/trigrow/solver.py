@@ -4,14 +4,20 @@ Three routes through the same recurrence x_k = a_k (1 + sum_{j<k} x_j):
 
 * naive:  plain doubles, reports the first index that leaves the
           representable range instead of silently producing infinities;
-* robust: dynamically downscales the partial solution by exact powers of
-          two before any update could overflow, so every intermediate stays
+* robust: dynamically downscales the running total by exact powers of two
+          before any update could overflow, so every intermediate stays
           finite (the scaled-solve contract of classic overflow-safe
-          triangular solvers);
+          triangular solvers); each component keeps the scale in force when
+          it was written, as in LAPACK xLATRS, so nothing is rescaled twice;
 * ext:    ExtScalar arithmetic, immune to overflow by construction.
 
 naive and robust share the identical accumulation order, so whenever naive
 succeeds the two agree bitwise.
+
+The eigenvector matrix is Toeplitz and the column-j subsystem is the leading
+(m-j)-prefix of the column-1 subsystem, so `eigenvectors` solves the column-1
+subsystem once and reads every column off that one solution. Every robust
+column therefore uses the column-1 threshold tau(n = m-1).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .extscalar import ExtScalar, ZERO
+from .extscalar import ONE, ZERO, ExtScalar
 from .matgen import GeneralSystem, MatrixParams, Orientation, TriMatrix, build_eigvec_subsystem
 from .oracle import eigenvalues
 
@@ -48,16 +54,20 @@ class ScaledVector:
 
     The robust solver keeps every stored value within the representable range
     and accumulates the applied downscaling in scale_exp (>= 0 on growing
-    problems), so the represented vector is the true solution.
+    problems), so the represented vector is the true solution. A read-only
+    float64 array is shared, so columns can be windows over one buffer;
+    anything else is copied into a read-only array.
     """
 
     values: np.ndarray
     scale_exp: int = 0
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        v = self.values
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and not v.flags.writeable):
+            v = np.array(v, dtype=np.float64)
+            v.flags.writeable = False
+            object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -95,22 +105,31 @@ class SolveOutcome:
         return self.status is SolveStatus.OK
 
 
-def naive_solve(sys: GeneralSystem) -> SolveOutcome:
-    """Plain double-precision substitution; detects rather than prevents overflow."""
+def _naive_components(sys: GeneralSystem) -> tuple[np.ndarray, int | None]:
+    """Plain double substitution up to the first index (1-based) whose value or
+    running total leaves the range: returns the components before that index
+    and the index, or the whole solution and None."""
     sys.require_nonsingular()
-    n = sys.n
     c = float(sys.c)
     d = sys.d.tolist()
-    values = np.zeros(n)
+    values = np.zeros(sys.n)
     h = 1.0  # running 1 + sum of solved components
-    for k in range(n):
+    for k in range(sys.n):
         x = (c / d[k]) * h
         if not math.isfinite(x) or abs(x) > OMEGA:
-            return SolveOutcome(SolveStatus.OVERFLOW_DETECTED, None, overflow_index=k + 1)
+            return values[:k], k + 1
         values[k] = x
         h += x
         if not math.isfinite(h) or abs(h) > OMEGA:
-            return SolveOutcome(SolveStatus.OVERFLOW_DETECTED, None, overflow_index=k + 1)
+            return values[:k], k + 1
+    return values, None
+
+
+def naive_solve(sys: GeneralSystem) -> SolveOutcome:
+    """Plain double-precision substitution; detects rather than prevents overflow."""
+    values, overflow = _naive_components(sys)
+    if overflow is not None:
+        return SolveOutcome(SolveStatus.OVERFLOW_DETECTED, None, overflow_index=overflow)
     return SolveOutcome(SolveStatus.OK, ScaledVector(values, 0))
 
 
@@ -126,22 +145,23 @@ def _safety_threshold(sys: GeneralSystem) -> float:
     return tau
 
 
-def robust_solve(sys: GeneralSystem) -> ScaledVector:
-    """Overflow-proof substitution: downscale by exact powers of two, never overflow.
+def _robust_components(sys: GeneralSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Overflow-proof substitution: x_k = raw[k] * 2**exps[k], exps nondecreasing.
 
-    Whenever the next component would exceed tau, the partial solution and the
-    running total are multiplied by 2**-s with the smallest s restoring
-    headroom; the accumulated s is returned in scale_exp, so
-    values * 2**scale_exp is the true solution.
+    Whenever the next component would exceed tau, the running total is
+    multiplied by 2**-s with the smallest s restoring headroom and s joins the
+    scale in force. Components already written keep the scale they were
+    written at, so no pass over the solved prefix is needed.
     """
     sys.require_nonsingular()
     n = sys.n
+    raw = np.zeros(n)
+    exps = np.zeros(n, dtype=np.int64)
     if n == 0:
-        return ScaledVector(np.zeros(0), 0)
+        return raw, exps
     c = float(sys.c)
     d = sys.d.tolist()
     tau = _safety_threshold(sys)
-    values = np.zeros(n)
     h = 1.0  # (1 + sum of solved components) at the current scale
     sigma = 0
     for k in range(n):
@@ -153,17 +173,30 @@ def robust_solve(sys: GeneralSystem) -> ScaledVector:
                 s -= 1
             while math.ldexp(p, -s) > tau:
                 s += 1
-            values[:k] = np.ldexp(values[:k], -s)
             h = math.ldexp(h, -s)
             sigma += s
         x = ak * h
         if not math.isfinite(x) or abs(x) > OMEGA:  # unreachable by construction
             raise ArithmeticError(f"robust solve produced a non-representable value at k={k + 1}")
-        values[k] = x
+        raw[k] = x
+        exps[k] = sigma
         h += x
         if not math.isfinite(h):
             raise ArithmeticError(f"robust solve running total overflowed at k={k + 1}")
-    return ScaledVector(values, sigma)
+    return raw, exps
+
+
+def robust_solve(sys: GeneralSystem) -> ScaledVector:
+    """Overflow-proof substitution: downscale by exact powers of two, never overflow.
+
+    The scale reached at the last component is returned in scale_exp and every
+    component is brought to it with one power-of-two shift (exact unless it
+    lands below the normal range), so values * 2**scale_exp is the true
+    solution.
+    """
+    raw, exps = _robust_components(sys)
+    top = int(exps[-1]) if len(exps) else 0
+    return ScaledVector(np.ldexp(raw, exps - top), top)
 
 
 def ext_solve(sys: GeneralSystem) -> list[ExtScalar]:
@@ -184,53 +217,54 @@ def ext_solve(sys: GeneralSystem) -> list[ExtScalar]:
 # ---------------------------------------------------------------------------
 
 
-def _assemble_scaled(m: int, j: int, tail: ScaledVector) -> ScaledVector:
-    """Full column: zeros above the pivot, unit pivot, solved tail; one shared scale."""
-    full = np.zeros(m)
-    full[j - 1] = math.ldexp(1.0, -tail.scale_exp)  # may underflow for extreme scales
-    full[j:] = tail.values
-    return ScaledVector(full, tail.scale_exp)
-
-
-def _assemble_ext(m: int, j: int, tail: list[ExtScalar]) -> list[ExtScalar]:
-    return [ZERO] * (j - 1) + [ExtScalar(1.0)] + tail
+def _windows(seq: Union[np.ndarray, list], lo: int, m: int, upper: bool) -> list:
+    """Length-m columns for n = lo..len(seq)-1: m-1-n zeros, then seq[:n+1]
+    (index-reversed when upper), as windows over one buffer."""
+    hi = len(seq) - 1
+    if isinstance(seq, list):
+        pad = [ZERO] * (m - 1 - lo)
+        buf = seq[::-1] + pad if upper else pad + seq
+    else:
+        pad = np.zeros(m - 1 - lo)
+        buf = np.concatenate([seq[::-1], pad] if upper else [pad, seq])
+        buf.flags.writeable = False
+    starts = [hi - n if upper else n - lo for n in range(lo, hi + 1)]
+    return [buf[k : k + m] for k in starts]
 
 
 def eigenvectors(params: MatrixParams, method: Method = Method.ROBUST) -> list[SolveOutcome]:
-    """Solve all m eigenvector columns independently with the chosen method.
+    """All m eigenvector columns from one solve of the column-1 subsystem.
 
-    Column j is assembled from its subsystem solution; a column that
-    overflows under the naive method does not affect the others. For upper
-    orientation the lower-triangular columns are solved and index-reversed.
+    Column j is zeros, the unit pivot and the first m-j components of the
+    column-1 solution (index-reversed for upper orientation). Naive column j
+    overflows iff m-j reaches column 1's overflow index; robust column j takes
+    the scale in force at its last component.
     """
     params.require_distinct_eigenvalues()
     method = Method(method)
     m = params.m
-    out: list[SolveOutcome] = []
-    for j in range(1, m + 1):
-        sub = build_eigvec_subsystem(params, j)
-        if method is Method.EXTENDED:
-            col = _assemble_ext(m, j, ext_solve(sub))
-            out.append(SolveOutcome(SolveStatus.OK, col))
-        elif method is Method.ROBUST:
-            out.append(SolveOutcome(SolveStatus.OK, _assemble_scaled(m, j, robust_solve(sub))))
-        else:
-            res = naive_solve(sub)
-            if res.ok:
-                out.append(SolveOutcome(SolveStatus.OK, _assemble_scaled(m, j, res.result)))
-            else:
-                out.append(res)
-    if params.orientation is Orientation.UPPER:
-        out = [_reverse_outcome(o) for o in reversed(out)]
-    return out
-
-
-def _reverse_outcome(o: SolveOutcome) -> SolveOutcome:
-    if not o.ok:
-        return o
-    if isinstance(o.result, ScaledVector):
-        return SolveOutcome(o.status, ScaledVector(o.result.values[::-1], o.result.scale_exp))
-    return SolveOutcome(o.status, list(reversed(o.result)))
+    upper = params.orientation is Orientation.UPPER
+    sub = build_eigvec_subsystem(params, 1)
+    ok = SolveStatus.OK
+    # out[n] is the column with n solved components below its pivot
+    if method is Method.EXTENDED:
+        out = [SolveOutcome(ok, col) for col in _windows([ONE] + ext_solve(sub), 0, m, upper)]
+    elif method is Method.NAIVE:
+        values, overflow = _naive_components(sub)
+        seq = np.concatenate([[1.0], values])
+        out = [SolveOutcome(ok, ScaledVector(col, 0)) for col in _windows(seq, 0, m, upper)]
+        overflowed = SolveOutcome(SolveStatus.OVERFLOW_DETECTED, None, overflow_index=overflow)
+        out += [overflowed] * (m - len(out))
+    else:
+        raw, exps = _robust_components(sub)
+        raw = np.concatenate([[1.0], raw])
+        exps = np.concatenate([[0], exps])
+        scales, starts = np.unique(exps, return_index=True)  # exps is nondecreasing
+        out = []
+        for s, lo, end in zip(scales.tolist(), starts.tolist(), starts[1:].tolist() + [m]):
+            seq = np.ldexp(raw[:end], exps[:end] - s)
+            out += [SolveOutcome(ok, ScaledVector(col, s)) for col in _windows(seq, lo, m, upper)]
+    return out if upper else out[::-1]
 
 
 def _to_ext_vector(x: Union[ScaledVector, Sequence[ExtScalar]]) -> list[ExtScalar]:
@@ -287,8 +321,10 @@ def structured_residuals(params: MatrixParams, outcomes: Sequence[SolveOutcome])
 
     For column j the residual rows reduce to (i-j) b x_i - c * prefix_sum(x),
     so each column costs O(m - j) instead of a dense matrix-vector product.
-    Prefix sums run in extended precision (longdouble); the column scale
-    cancels in the ratio. Columns without an Ok ScaledVector yield NaN.
+    Prefix sums run in extended precision (longdouble) on the column scaled
+    by an exact power of two to max|x| in [0.5, 1), so the column scale
+    cancels in the ratio. ExtScalar columns take an ExtScalar route. Columns
+    without an Ok result yield NaN.
     """
     m = params.m
     lams = eigenvalues(params)
@@ -308,12 +344,17 @@ def structured_residuals(params: MatrixParams, outcomes: Sequence[SolveOutcome])
             if params.orientation is Orientation.UPPER:
                 vals = vals[::-1]
             tail = vals[j - 1 :].astype(np.longdouble)
-            vmax = float(np.max(np.abs(tail)))
+            vmax = np.max(np.abs(tail))
             if vmax == 0.0:
                 continue
             if len(tail) == 1:
                 res[idx] = 0.0
                 continue
+            # an exact power of two puts max|x| in [0.5, 1): the denominator
+            # below cannot overflow, and the ratio keeps its bits
+            e = int(np.frexp(vmax)[1])
+            tail = np.ldexp(tail, -e)
+            vmax = float(np.ldexp(vmax, -e))
             prefix = np.cumsum(tail[:-1])
             i_minus_j = np.arange(1, len(tail), dtype=np.longdouble)
             rows = i_minus_j * np.longdouble(params.b) * tail[1:] - np.longdouble(params.c) * prefix

@@ -7,6 +7,7 @@ smallest prefix that still fails.
 from __future__ import annotations
 
 import math
+import sys as _sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -26,7 +27,7 @@ from .oracle import (
 )
 from .solver import Method, eigenvectors, naive_solve, robust_solve, structured_residuals
 
-_MIN_NORMAL = 2.2250738585072014e-308
+_MIN_NORMAL = _sys.float_info.min
 
 
 @dataclass

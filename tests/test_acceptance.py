@@ -3,6 +3,7 @@ tolerances, each printing its own pass line (use -s to stream them).
 """
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ from trigrow.solver import SolveStatus
 
 from conftest import brute_solve, random_positive_system
 
-_MIN_NORMAL = 2.2250738585072014e-308
+_MIN_NORMAL = sys.float_info.min
 
 A5 = [
     [1, 0, 0, 0, 0],

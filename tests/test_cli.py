@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trigrow import MatrixParams, Orientation, build_A, read_matrix_market
-from trigrow.cli import main, render_json
+from trigrow.cli import _json_string, main, render_json
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -26,6 +26,25 @@ class TestRenderJson:
         assert json.loads(text)["v"] == 0.1
         for v in (6.700036292457356, 1e-300, -5e22, 2.0**-1074):
             assert json.loads(render_json(v)) == v
+
+    def test_string_escapes_match_character_loop(self):
+        def reference(s: str) -> str:
+            out = ['"']
+            for ch in s:
+                if ch in ('"', "\\"):
+                    out.append("\\" + ch)
+                elif ord(ch) < 0x20:
+                    out.append(f"\\u{ord(ch):04x}")
+                else:
+                    out.append(ch)
+            out.append('"')
+            return "".join(out)
+
+        chars = [chr(cp) for cp in range(0x80)] + ["é"]
+        for ch in chars:
+            assert _json_string(ch) == reference(ch)
+            assert json.loads(_json_string(ch)) == ch
+        assert _json_string("".join(chars)) == reference("".join(chars))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -175,6 +194,13 @@ class TestCond:
         assert r["j"] == 1 and r["n"] == 4
         assert r["kappa_exact"] <= r["kappa_bound"] <= 6.700036292457357
         assert r["margin"] > 0
+
+    @pytest.mark.parametrize("j", ["0", "5"])
+    def test_index_without_subsystem_exits_2(self, capsys, tmp_path, j):
+        rc, _, err = run(
+            capsys, "cond", "-m", "5", "-c", "5", "-j", j, "-o", str(tmp_path / "c.json"),
+        )
+        assert rc == 2 and "nonempty subsystem" in err
 
     def test_all_indices(self, capsys, tmp_path):
         out = str(tmp_path / "cond_all.json")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from trigrow import (
     GeneralSystem,
     MatrixParams,
     build_eigvec_subsystem,
-    condition_report,
-    eigenvalue_sensitivity,
+    condition_reports,
     perturbation_experiment,
     skeel_bound,
     skeel_exact,
@@ -146,39 +146,29 @@ class TestPerturbationExperiment:
             perturbation_experiment(MatrixParams(5, 0.0, 1.0, -5.0), 1, 1e-8, 10, 0)
 
 
-class TestEigenvalueSensitivity:
-    def test_returns_epsilon(self):
-        assert eigenvalue_sensitivity(MatrixParams(5, 0.0, 1.0, 5.0), 1e-8) == 1e-8
-        assert eigenvalue_sensitivity(MatrixParams(5, 0.0, 1.0, 5.0), 1e-6) == 1e-6
-
-    def test_zero_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            eigenvalue_sensitivity(MatrixParams(3, -2.0, 1.0, 1.0), 1e-8)  # lambda_2 = 0
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            eigenvalue_sensitivity(MatrixParams(3, 1.0, 1.0, 1.0), float("nan"))
-
-
 class TestCondReport:
     def test_fields_and_margin(self):
-        rep = condition_report(MatrixParams(5, 0.0, 1.0, 5.0), 1)
+        rep = condition_reports(MatrixParams(5, 0.0, 1.0, 5.0))[0]
         assert rep.j == 1 and rep.n == 4
         assert rep.kappa_exact == pytest.approx(5.345238095238095, rel=1e-15)
         assert rep.kappa_exact <= rep.kappa_bound
         assert rep.perturb_stats is None
 
     def test_bound_absent_below_hypothesis(self):
-        rep = condition_report(MatrixParams(5, 0.0, 2.0, 1.0), 1)  # gamma = 1/2
-        assert rep.kappa_bound is None
+        reps = condition_reports(MatrixParams(5, 0.0, 2.0, 1.0))  # gamma = 1/2
+        assert all(rep.kappa_bound is None for rep in reps)
 
     def test_with_perturbation(self):
-        rep = condition_report(MatrixParams(6, 0.0, 1.0, 6.0), 2, epsilon=1e-8, trials=20, seed=1)
-        assert rep.perturb_stats is not None
+        params = MatrixParams(6, 0.0, 1.0, 6.0)
+        stats = perturbation_experiment(params, 2, 1e-8, 20, seed=1)
+        rep = replace(condition_reports(params)[1], perturb_stats=stats)
         d = rep.to_jsonable()
-        assert d["perturb"]["trials"] == 20
+        assert d["j"] == 2 and d["perturb"]["trials"] == 20
 
     def test_kappa_exact_consistent_with_subsystem(self):
         params = MatrixParams(8, 1.0, 2.0, 9.0)
-        rep = condition_report(params, 3)
-        assert rep.kappa_exact == skeel_exact(build_eigvec_subsystem(params, 3))
+        reps = condition_reports(params)
+        assert [rep.j for rep in reps] == list(range(1, 8))
+        for rep in reps:
+            assert rep.n == 8 - rep.j
+            assert rep.kappa_exact == skeel_exact(build_eigvec_subsystem(params, rep.j))

@@ -143,7 +143,6 @@ class TestSubsystem:
     def test_dense_form(self):
         sub = GeneralSystem(np.array([1.0, 2.0]), 5.0)
         assert np.array_equal(sub.to_trimatrix().entries, [[1.0, 0.0], [-5.0, 2.0]])
-        assert np.array_equal(sub.rhs(), [5.0, 5.0])
 
 
 class TestFlip:

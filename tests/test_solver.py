@@ -259,6 +259,15 @@ class TestResidual:
         slow_bad = residual(A, 1.0, bad.result).to_native()
         assert fast_bad == pytest.approx(slow_bad, rel=1e-6)
 
+    def test_structured_survives_overflowing_denominator(self):
+        # (||A||_inf + |lambda|) max|x| passes the double range for column 155
+        params = MatrixParams(600, 0.0, 1.0, 600.0)
+        outs = eigenvectors(params, Method.NAIVE)
+        assert outs[154].ok
+        fast = structured_residuals(params, outs)[154]
+        dense = residual(build_A(params), 155.0, outs[154].result).to_native()
+        assert 0.0 < fast <= 1e-12 and 0.0 < dense <= 1e-12
+
     def test_structured_upper(self):
         params = MatrixParams(30, 0.0, 1.0, 30.0, Orientation.UPPER)
         outs = eigenvectors(params, Method.ROBUST)
