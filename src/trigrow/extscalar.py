@@ -237,19 +237,6 @@ class ExtScalar:
         base = cls(sig)
         return _raw(sign * base.sign, base.significand, base.exponent + exp)
 
-    def to_decimal(self, digits: int = 6) -> str:
-        """Scientific-decimal rendering 'm×10^d' for reports; inexact by nature."""
-        if self.sign == 0:
-            return "0"
-        l10 = self.log2_abs() * math.log10(2.0)
-        d = math.floor(l10)
-        mant = 10.0 ** (l10 - d)
-        if round(mant, digits - 1) >= 10.0:
-            mant /= 10.0
-            d += 1
-        s = "-" if self.sign < 0 else ""
-        return f"{s}{mant:.{digits - 1}f}×10^{d}"
-
 
 ZERO = _raw(0, 0.0, 0)
 ONE = _raw(1, 1.0, 0)

@@ -218,7 +218,11 @@ def write_matrix_market(
 
 
 def read_matrix_market(src: Union[str, TextIO]) -> TriMatrix:
-    """Read a real general Matrix Market file written for a triangular matrix."""
+    """Read a real general Matrix Market file written for a triangular matrix.
+
+    Malformed input (a bad size line, an index outside 1..n, a duplicate
+    coordinate, a non-finite entry, a wrong count) raises ValueError.
+    """
     if isinstance(src, str):
         with open(src, "r", encoding="ascii") as fh:
             return read_matrix_market(fh)
@@ -238,30 +242,37 @@ def read_matrix_market(src: Union[str, TextIO]) -> TriMatrix:
             shape_hint = Orientation(line[len(_SHAPE_COMMENT):].strip())
         line = src.readline()
     dims = line.split()
+    if len(dims) != (2 if fmt == "array" else 3):
+        raise ValueError(f"malformed {fmt} size line: {line!r}")
     nrows, ncols = int(dims[0]), int(dims[1])
-    if nrows != ncols:
-        raise ValueError(f"matrix is not square: {nrows}x{ncols}")
-    entries = np.zeros((nrows, ncols))
+    if nrows != ncols or nrows < 0:
+        raise ValueError(f"matrix size must be square and nonnegative, got {nrows}x{ncols}")
     if fmt == "array":
-        values = []
-        for line in src:
-            line = line.strip()
-            if line:
-                values.append(float(line))
+        values = [float(line) for line in src if line.strip()]
         if len(values) != nrows * ncols:
             raise ValueError(f"expected {nrows * ncols} array values, got {len(values)}")
         entries = np.array(values).reshape((ncols, nrows)).T
     else:
         nnz = int(dims[2])
-        count = 0
+        entries = np.zeros((nrows, ncols))
+        seen = set()
         for line in src:
             tok = line.split()
             if not tok:
                 continue
-            entries[int(tok[0]) - 1, int(tok[1]) - 1] = float(tok[2])
-            count += 1
-        if count != nnz:
-            raise ValueError(f"expected {nnz} coordinate entries, got {count}")
+            if len(tok) != 3:
+                raise ValueError(f"malformed coordinate entry: {line!r}")
+            i, j = int(tok[0]), int(tok[1])
+            if not (1 <= i <= nrows and 1 <= j <= ncols):
+                raise ValueError(f"coordinate ({i}, {j}) outside a {nrows}x{ncols} matrix")
+            if (i, j) in seen:
+                raise ValueError(f"duplicate coordinate ({i}, {j})")
+            seen.add((i, j))
+            entries[i - 1, j - 1] = float(tok[2])
+        if len(seen) != nnz:
+            raise ValueError(f"expected {nnz} coordinate entries, got {len(seen)}")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("Matrix Market entries must be finite")
     if shape_hint is not None:
         shape = shape_hint
     elif np.any(np.triu(entries, 1) != 0.0):

@@ -100,12 +100,6 @@ class FractionMatrix:
         i, j = ij
         return self.entries[i - 1][j - 1]
 
-    def to_trimatrix(self) -> TriMatrix:
-        return TriMatrix(
-            np.array([[float(v) for v in row] for row in self.entries]),
-            Orientation.LOWER,
-        )
-
 
 def inverse_closed_form(sys: GeneralSystem) -> FractionMatrix:
     """Exact inverse H of G: h_jj = 1/d_j, h_ij = (a_i/d_j) * prod_{k=j+1}^{i-1}(1+a_k).

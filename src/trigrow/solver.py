@@ -76,9 +76,6 @@ class ScaledVector:
         """Exact i-th (0-based) component as an ExtScalar."""
         return ExtScalar(float(self.values[i])).scale_pow2(self.scale_exp)
 
-    def to_ext(self) -> list[ExtScalar]:
-        return [self.component_ext(i) for i in range(len(self.values))]
-
     def log2_components(self) -> np.ndarray:
         """log2 of component magnitudes; -inf where a stored value is zero."""
         with np.errstate(divide="ignore"):
@@ -267,53 +264,62 @@ def eigenvectors(params: MatrixParams, method: Method = Method.ROBUST) -> list[S
     return out if upper else out[::-1]
 
 
-def _to_ext_vector(x: Union[ScaledVector, Sequence[ExtScalar]]) -> list[ExtScalar]:
-    if isinstance(x, ScaledVector):
-        return x.to_ext()
-    return list(x)
+def _ext_shifted(xs: Sequence[ExtScalar]) -> np.ndarray:
+    """xs as float64 shifted by the exact power of two that puts max|x| in
+    [0.5, 1). Components more than ~1074 binary orders below the peak round to
+    subnormals or to zero."""
+    sig = np.array([v.sign * v.significand for v in xs])
+    exp = np.array([v.exponent for v in xs], dtype=np.int64)
+    top = int(exp[sig != 0.0].max()) if np.any(sig) else 0
+    return np.ldexp(sig, exp - top - 1)
 
 
 def residual(A: TriMatrix, lam: float, x: Union[ScaledVector, Sequence[ExtScalar]]) -> ExtScalar:
     """Scaled eigenvector residual max_i |(A - lam I) x|_i / ((||A||_inf + |lam|) max_i |x_i|).
 
-    Evaluated entirely in ExtScalar so the scale factor of x cancels exactly.
+    x is shifted by an exact power of two to max|x| in [0.5, 1), and A and lam
+    together by the one putting max(max|A|, |lam|) there; both shifts cancel in
+    the ratio. Row sums add the products of the nonzero components in
+    ascending order, so every product and sum rounds as in double arithmetic
+    with an unbounded exponent, except that components more than ~1074 binary
+    orders below the peak of x enter as zero. The ratio is formed in
+    ExtScalar, so it is never flushed to zero.
     """
-    xe = _to_ext_vector(x)
-    if A.n != len(xe):
-        raise ValueError(f"dimension mismatch: matrix {A.n}, vector {len(xe)}")
-    support = [(k, v) for k, v in enumerate(xe) if not v.is_zero()]
-    if not support:
-        raise ValueError("residual of the zero vector is undefined")
-    norm_a = float(np.max(np.sum(np.abs(A.entries), axis=1)))
-    if not math.isfinite(norm_a):  # huge entries: accumulate exactly instead
-        norm_ext = ZERO
-        for i in range(A.n):
-            row = ZERO
-            for v in A.entries[i]:
-                if v != 0.0:
-                    row = row + ExtScalar(abs(float(v)))
-            if row.cmp_abs(norm_ext) > 0:
-                norm_ext = row
+    if isinstance(x, ScaledVector):
+        peak = np.max(np.abs(x.values), initial=0.0)
+        xs = np.ldexp(x.values, -int(np.frexp(peak)[1]))
     else:
-        norm_ext = ExtScalar(norm_a)
-    lam_ext = ExtScalar(lam)
-    xmax = ZERO
-    for _, v in support:
-        if v.cmp_abs(xmax) > 0:
-            xmax = v
-    worst = ZERO
-    ent = A.entries
-    for i in range(A.n):
-        acc = ZERO
-        for k, v in support:
-            aik = float(ent[i, k])
-            if aik != 0.0:
-                acc = acc + ExtScalar(aik) * v
-        acc = acc - lam_ext * xe[i]
-        if acc.cmp_abs(worst) > 0:
-            worst = acc
-    denom = (norm_ext + abs(lam_ext)) * abs(xmax)
-    return abs(worst) / denom
+        xs = _ext_shifted(x)
+    if A.n != len(xs):
+        raise ValueError(f"dimension mismatch: matrix {A.n}, vector {len(xs)}")
+    support = np.flatnonzero(xs)
+    if not len(support):
+        raise ValueError("residual of the zero vector is undefined")
+    ea = int(np.frexp(np.max(np.abs(A.entries), initial=abs(lam)))[1])
+    a_s = np.ldexp(A.entries, -ea)
+    lam_s = math.ldexp(lam, -ea)
+    acc = np.zeros(A.n)
+    for k in support.tolist():  # a BLAS matvec would sum in another order
+        acc += a_s[:, k] * xs[k]
+    acc -= lam_s * xs
+    norm = float(np.max(np.sum(np.abs(a_s), axis=1)))
+    denom = (norm + abs(lam_s)) * float(np.max(np.abs(xs)))
+    return ExtScalar(float(np.max(np.abs(acc)))) / ExtScalar(denom)
+
+
+def _tail_residual(tail: np.ndarray, b: float, c: float, scale: float) -> float:
+    """max_k |k b x_k - c (x_0 + ... + x_{k-1})| / (scale max|x|) over a column
+    tail x (pivot first), rounded in the dtype of tail; NaN for a zero tail."""
+    vmax = float(np.max(np.abs(tail)))
+    if vmax == 0.0:
+        return math.nan
+    if len(tail) == 1:
+        return 0.0
+    t = tail.dtype.type
+    prefix = np.cumsum(tail[:-1])
+    k = np.arange(1, len(tail), dtype=tail.dtype)
+    rows = k * t(b) * tail[1:] - t(c) * prefix
+    return float(np.max(np.abs(rows)) / (scale * vmax))
 
 
 def structured_residuals(params: MatrixParams, outcomes: Sequence[SolveOutcome]) -> np.ndarray:
@@ -321,10 +327,12 @@ def structured_residuals(params: MatrixParams, outcomes: Sequence[SolveOutcome])
 
     For column j the residual rows reduce to (i-j) b x_i - c * prefix_sum(x),
     so each column costs O(m - j) instead of a dense matrix-vector product.
-    Prefix sums run in extended precision (longdouble) on the column scaled
-    by an exact power of two to max|x| in [0.5, 1), so the column scale
-    cancels in the ratio. ExtScalar columns take an ExtScalar route. Columns
-    without an Ok result yield NaN.
+    Each tail is shifted by the exact power of two that puts max|x| in
+    [0.5, 1), so the column scale cancels in the ratio and the denominator
+    cannot overflow. ScaledVector tails run in extended precision
+    (longdouble); ExtScalar tails run in float64, which rounds as ExtScalar
+    does, except that components more than ~1074 binary orders below the
+    peak enter as zero. Columns without an Ok result yield NaN.
     """
     m = params.m
     lams = eigenvalues(params)
@@ -332,59 +340,17 @@ def structured_residuals(params: MatrixParams, outcomes: Sequence[SolveOutcome])
     norm_a = float(np.max(row_sums))
     if not math.isfinite(norm_a):
         raise ValueError("matrix norm exceeds the native range; use residual() instead")
+    upper = params.orientation is Orientation.UPPER
     res = np.full(m, np.nan)
     for idx, o in enumerate(outcomes):
         if not o.ok:
             continue
-        ju = idx + 1
-        j = m + 1 - ju if params.orientation is Orientation.UPPER else ju
-        lam = abs(float(lams[j - 1]))
-        if isinstance(o.result, ScaledVector):
-            vals = o.result.values
-            if params.orientation is Orientation.UPPER:
-                vals = vals[::-1]
-            tail = vals[j - 1 :].astype(np.longdouble)
-            vmax = np.max(np.abs(tail))
-            if vmax == 0.0:
-                continue
-            if len(tail) == 1:
-                res[idx] = 0.0
-                continue
-            # an exact power of two puts max|x| in [0.5, 1): the denominator
-            # below cannot overflow, and the ratio keeps its bits
-            e = int(np.frexp(vmax)[1])
-            tail = np.ldexp(tail, -e)
-            vmax = float(np.ldexp(vmax, -e))
-            prefix = np.cumsum(tail[:-1])
-            i_minus_j = np.arange(1, len(tail), dtype=np.longdouble)
-            rows = i_minus_j * np.longdouble(params.b) * tail[1:] - np.longdouble(params.c) * prefix
-            res[idx] = float(np.max(np.abs(rows)) / ((norm_a + lam) * vmax))
+        j = m - idx if upper else idx + 1
+        col = o.result
+        if isinstance(col, ScaledVector):
+            tail = (col.values[::-1] if upper else col.values)[j - 1 :].astype(np.longdouble)
+            tail = np.ldexp(tail, -int(np.frexp(np.max(np.abs(tail)))[1]))
         else:
-            col = list(reversed(o.result)) if params.orientation is Orientation.UPPER else o.result
-            res[idx] = _ext_column_residual(params, j, col[j - 1 :], norm_a, lam)
+            tail = _ext_shifted(col[m - j :: -1] if upper else col[j - 1 :])
+        res[idx] = _tail_residual(tail, params.b, params.c, norm_a + abs(float(lams[j - 1])))
     return res
-
-
-def _ext_column_residual(
-    params: MatrixParams, j: int, tail: Sequence[ExtScalar], norm_a: float, lam_abs: float
-) -> float:
-    """Same structural residual for an ExtScalar column (O(length) per column)."""
-    b = ExtScalar(params.b)
-    c = ExtScalar(params.c)
-    vmax = ZERO
-    for v in tail:
-        if v.cmp_abs(vmax) > 0:
-            vmax = v
-    if vmax.is_zero():
-        return math.nan
-    worst = ZERO
-    prefix = ZERO
-    for k, x in enumerate(tail):
-        if k > 0:
-            row = ExtScalar(float(k)) * b * x - c * prefix
-            if row.cmp_abs(worst) > 0:
-                worst = row
-        prefix = prefix + x
-    denom = (ExtScalar(norm_a) + ExtScalar(lam_abs)) * abs(vmax)
-    out = (abs(worst) / denom).to_native()
-    return out if isinstance(out, float) else math.nan

@@ -1,7 +1,7 @@
 """Property suites behind the `verify` command: every closed form is checked
-against an independent route (exact substitution, dense inversion, dense
-triple products, the native solvers), with failing cases shrunk to the
-smallest prefix that still fails.
+against an independent route (exact substitution, dense inversion, the
+`skeel_vectors` closed form, the native solvers), with failing cases shrunk
+to the smallest prefix that still fails.
 """
 
 from __future__ import annotations
@@ -199,7 +199,8 @@ def _skeel_grid(max_n: int) -> Iterable[tuple[float, int]]:
 
 
 def suite_skeel_consistency(max_n: int) -> SuiteResult:
-    """skeel_exact (triple-product route) agrees with the closed-form skeelZ route."""
+    """skeel_exact (one exact pass with running maxima) agrees with the
+    skeel_vectors closed form."""
     res = SuiteResult("skeel-consistency")
     for g, n in _skeel_grid(max_n):
         sys = GeneralSystem(np.arange(1, n + 1, dtype=np.float64), g)

@@ -1,7 +1,9 @@
 """Shared brute-force oracles, deliberately independent of the library's
 closed-form code paths: plain substitution, dense rational inversion, and
 dense triple products, all in exact Fraction arithmetic; plus the slow
-per-column and per-entry routes that the one-sequence fast paths replaced.
+per-column and per-entry routes that the one-sequence fast paths replaced,
+and the per-element ExtScalar routes that the shifted float64 kernels
+replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 
 from trigrow import (
     ExtScalar,
+    PerturbStats,
     GeneralSystem,
     MatrixParams,
     Method,
@@ -23,11 +26,15 @@ from trigrow import (
     SolveStatus,
     TriMatrix,
     build_eigvec_subsystem,
+    eigenvalues,
     eigenvector_matrix,
     ext_solve,
     naive_solve,
     robust_solve,
+    skeel_bound,
+    solve_closed_form,
 )
+from trigrow.extscalar import ZERO
 from trigrow.oracle import exact_to_json
 
 
@@ -150,6 +157,140 @@ def per_entry_x_matrix(params: MatrixParams) -> TriMatrix:
             v = dec.entry(i, j)
             ent[i - 1, j - 1] = float(v) if isinstance(v, Fraction) else v.to_native()
     return TriMatrix(ent, params.orientation)
+
+
+def extscalar_perturbation(
+    params: MatrixParams, j: int, epsilon: float, trials: int, seed: int
+) -> PerturbStats:
+    """The perturbation experiment with every trial substituted one ExtScalar at a time."""
+    sub = build_eigvec_subsystem(params, j)
+    n = sub.n
+    x = solve_closed_form(sub)
+    kappa_bound = skeel_bound(params.gamma().as_float(), n)
+    denom = ExtScalar.from_fraction(
+        Fraction(float(epsilon)) * max(abs(v) for v in x) * Fraction(kappa_bound)
+    )
+    x_ext = [ExtScalar.from_fraction(v) for v in x]
+    c = float(sub.c)
+    worst = ZERO
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(stream)
+        dd = sub.d * (1.0 + rng.uniform(-epsilon, epsilon, n))
+        low = c * (1.0 + rng.uniform(-epsilon, epsilon, n * (n - 1) // 2))
+        f = c * (1.0 + rng.uniform(-epsilon, epsilon, n))
+        xt: list[ExtScalar] = []
+        pos = 0
+        for i in range(n):
+            acc = ExtScalar(float(f[i]))
+            for k in range(i):
+                acc = acc + ExtScalar(float(low[pos])) * xt[k]
+                pos += 1
+            xt.append(acc / ExtScalar(float(dd[i])))
+        for i in range(n):
+            diff = xt[i] - x_ext[i]
+            if diff.cmp_abs(worst) > 0:
+                worst = diff
+    ratio = (abs(worst) / denom).to_native()
+    return PerturbStats(float(epsilon), trials, ratio, seed)
+
+
+def _ext_vector(x) -> list[ExtScalar]:
+    if isinstance(x, ScaledVector):
+        return [x.component_ext(i) for i in range(len(x))]
+    return list(x)
+
+
+def extscalar_residual(A: TriMatrix, lam: float, x) -> ExtScalar:
+    """The dense scaled residual evaluated entirely in ExtScalar, row sums of |A|
+    falling back to sequential ExtScalar sums when the float64 norm overflows."""
+    xe = _ext_vector(x)
+    support = [(k, v) for k, v in enumerate(xe) if not v.is_zero()]
+    with np.errstate(over="ignore"):
+        norm_a = float(np.max(np.sum(np.abs(A.entries), axis=1)))
+    if math.isfinite(norm_a):
+        norm_ext = ExtScalar(norm_a)
+    else:
+        norm_ext = ZERO
+        for i in range(A.n):
+            row = ZERO
+            for v in A.entries[i]:
+                if v != 0.0:
+                    row = row + ExtScalar(abs(float(v)))
+            if row.cmp_abs(norm_ext) > 0:
+                norm_ext = row
+    lam_ext = ExtScalar(lam)
+    xmax = ZERO
+    for _, v in support:
+        if v.cmp_abs(xmax) > 0:
+            xmax = v
+    worst = ZERO
+    for i in range(A.n):
+        acc = ZERO
+        for k, v in support:
+            aik = float(A.entries[i, k])
+            if aik != 0.0:
+                acc = acc + ExtScalar(aik) * v
+        acc = acc - lam_ext * xe[i]
+        if acc.cmp_abs(worst) > 0:
+            worst = acc
+    return abs(worst) / ((norm_ext + abs(lam_ext)) * abs(xmax))
+
+
+def _extscalar_column_residual(params, tail, norm_a, lam_abs) -> float:
+    b = ExtScalar(params.b)
+    c = ExtScalar(params.c)
+    vmax = ZERO
+    for v in tail:
+        if v.cmp_abs(vmax) > 0:
+            vmax = v
+    if vmax.is_zero():
+        return math.nan
+    worst = ZERO
+    prefix = ZERO
+    for k, x in enumerate(tail):
+        if k > 0:
+            row = ExtScalar(float(k)) * b * x - c * prefix
+            if row.cmp_abs(worst) > 0:
+                worst = row
+        prefix = prefix + x
+    out = (abs(worst) / ((ExtScalar(norm_a) + ExtScalar(lam_abs)) * abs(vmax))).to_native()
+    return out if isinstance(out, float) else math.nan
+
+
+def per_column_structured_residuals(params: MatrixParams, outcomes) -> np.ndarray:
+    """Structured residuals one column at a time: ScaledVector columns in
+    longdouble, ExtScalar columns one ExtScalar at a time."""
+    m = params.m
+    lams = eigenvalues(params)
+    norm_a = float(np.max(np.abs(lams) + np.arange(0, m) * abs(params.c)))
+    upper = params.orientation is Orientation.UPPER
+    res = np.full(m, np.nan)
+    for idx, o in enumerate(outcomes):
+        if not o.ok:
+            continue
+        j = m - idx if upper else idx + 1
+        lam = abs(float(lams[j - 1]))
+        if isinstance(o.result, ScaledVector):
+            vals = o.result.values[::-1] if upper else o.result.values
+            tail = vals[j - 1 :].astype(np.longdouble)
+            vmax = np.max(np.abs(tail))
+            if vmax == 0.0:
+                continue
+            if len(tail) == 1:
+                res[idx] = 0.0
+                continue
+            e = int(np.frexp(vmax)[1])
+            tail = np.ldexp(tail, -e)
+            vmax = float(np.ldexp(vmax, -e))
+            prefix = np.cumsum(tail[:-1])
+            i_minus_j = np.arange(1, len(tail), dtype=np.longdouble)
+            b, c = np.longdouble(params.b), np.longdouble(params.c)
+            rows = i_minus_j * b * tail[1:] - c * prefix
+            res[idx] = float(np.max(np.abs(rows)) / ((norm_a + lam) * vmax))
+        else:
+            col = list(reversed(o.result)) if upper else o.result
+            res[idx] = _extscalar_column_residual(params, col[j - 1 :], norm_a, lam)
+    return res
 
 
 @pytest.fixture

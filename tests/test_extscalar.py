@@ -216,13 +216,3 @@ class TestTextFormats:
     def test_zero_renders_as_zero(self):
         assert str(ZERO) == "0"
         assert ExtScalar.parse("0").is_zero()
-
-    def test_decimal_rendering_against_big_integer(self):
-        # first digits of 2^1200 computed exactly: 1.7218...e361
-        digits = str(1 << 1200)
-        assert len(digits) == 362
-        text = ExtScalar.pow2(1200).to_decimal(digits=5)
-        assert text == f"{digits[0]}.{digits[1:5]}×10^361"
-
-    def test_decimal_small_value(self):
-        assert ExtScalar(-0.5).to_decimal(digits=3) == "-5.00×10^-1"

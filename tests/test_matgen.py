@@ -219,3 +219,97 @@ class TestMatrixMarket:
     def test_reject_non_matrix(self):
         with pytest.raises(ValueError):
             read_matrix_market(io.StringIO("%%MatrixMarket vector array real general\n1\n"))
+
+
+def _coordinate(size_line: str, *entries: str) -> io.StringIO:
+    return io.StringIO(
+        "%%MatrixMarket matrix coordinate real general\n" + size_line + "\n"
+        + "".join(e + "\n" for e in entries)
+    )
+
+
+class TestMatrixMarketMalformed:
+    def test_zero_index_rejected(self):
+        # 0 0 once landed at (2, 2) through negative indexing
+        with pytest.raises(ValueError, match="outside"):
+            read_matrix_market(_coordinate("2 2 1", "0 0 5.0"))
+
+    def test_index_above_n_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            read_matrix_market(_coordinate("2 2 1", "3 1 5.0"))
+
+    @pytest.mark.parametrize("fmt", ["array", "coordinate"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, fmt, bad):
+        text = matrix_market_string(build_A(MatrixParams(2, 0.0, 1.0, 1.0)), fmt)
+        lines = text.splitlines()
+        lines[3] = bad if fmt == "array" else " ".join(lines[3].split()[:2] + [bad])
+        with pytest.raises(ValueError, match="finite"):
+            read_matrix_market(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_duplicate_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            read_matrix_market(_coordinate("2 2 2", "1 1 1.0", "1 1 2.0"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "%%MatrixMarket matrix coordinate real general\n2 2\n1 1 1.0\n",
+            "%%MatrixMarket matrix array real general\n2\n1.0\n0.0\n0.0\n1.0\n",
+            "%%MatrixMarket matrix array real general\n",
+        ],
+        ids=["coordinate", "array", "missing"],
+    )
+    def test_short_size_line_rejected(self, text):
+        with pytest.raises(ValueError, match="size line"):
+            read_matrix_market(io.StringIO(text))
+
+
+_ENTRY = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _tri_matrices(draw) -> TriMatrix:
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(list(Orientation)))
+    vals = np.array(draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return TriMatrix(np.tril(vals) if shape is Orientation.LOWER else np.triu(vals), shape)
+
+
+_FORMATS = st.sampled_from(["array", "coordinate"])
+
+# small numbers only: a mutated size line must never ask for a huge dense matrix
+_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "7", "1.5", "-0.0", "nan", "inf", "1e400", "x", "%",
+     "%%MatrixMarket", "matrix", "array", "coordinate", "real", "general", "upper"]
+)
+
+
+@given(_tri_matrices(), _FORMATS)
+def test_matrix_market_round_trip_property(mat, fmt):
+    back = read_matrix_market(io.StringIO(matrix_market_string(mat, fmt)))
+    assert back == mat and back.shape is mat.shape
+
+
+@given(_tri_matrices(), _FORMATS, st.data())
+def test_matrix_market_single_line_mutation_is_matrix_or_value_error(mat, fmt, data):
+    lines = matrix_market_string(mat, fmt).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    tok = lines[i].split()
+    kind = data.draw(st.sampled_from(["delete", "duplicate", "replace", "token", "truncate"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "replace":
+        lines[i] = " ".join(data.draw(st.lists(_TOKENS, max_size=4)))
+    elif kind == "token" and tok:
+        tok[data.draw(st.integers(0, len(tok) - 1))] = data.draw(_TOKENS)
+        lines[i] = " ".join(tok)
+    else:
+        lines[i] = " ".join(tok[:-1])
+    try:
+        out = read_matrix_market(io.StringIO("\n".join(lines) + "\n"))
+    except ValueError:
+        return
+    assert isinstance(out, TriMatrix)
