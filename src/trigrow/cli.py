@@ -205,7 +205,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.what == "X":
         params.require_distinct_eigenvalues()
-    gamma = f"{params.gamma().as_float()!r}" if params.b != 0.0 else "undefined"
+    # c / b rounds exactly as GammaRatio.as_float(), and A needs no finite gamma
+    gamma = f"{params.c / params.b!r}" if params.b != 0.0 else "undefined"
     out = args.output
     if out is None:
         out = f"{args.what}.{'mtx' if args.format == 'matrix-market' else 'json'}"

@@ -80,11 +80,17 @@ def skeel_exact_prefixes(sys: GeneralSystem) -> list[float]:
 def skeel_bound(gamma: Union[GammaRatio, Fraction, float, int], n: int) -> float:
     """Analytic bound 2 (1 + gamma log((gamma + n - 1)/gamma)); needs gamma > 1."""
     g = gamma.as_float() if isinstance(gamma, GammaRatio) else float(gamma)
+    if not math.isfinite(g):
+        raise ValueError(f"the bound requires a finite gamma, got {g}")
     if not g > 1.0:
         raise ValueError(f"the bound requires gamma > 1, got {g}")
     if n < 1:
         raise ValueError(f"subsystem size must be >= 1, got {n}")
     return 2.0 * (1.0 + g * math.log((g + n - 1.0) / g))
+
+
+# trials are substituted in batches of about this many bytes of perturbed matrices
+_BATCH_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,12 @@ def perturbation_experiment(
     reported ratio is max |x~_i - x_i| / (eps ||x||_inf kappa_bound),
     maximized over trials; values <= 4 certify well-conditioned behavior.
     Per-trial RNG streams are spawned from the seed, so the result is
-    order-independent and reproducible.
+    order-independent and reproducible. The trials share the shifts, which
+    come from the exact solution, so they are substituted in batches along a
+    trial axis (about 2 MiB of perturbed matrices a batch, at least one
+    trial); each trial still draws its diagonal, lower triangle (row-major)
+    and right-hand side from its own stream in that order, and the batched
+    arithmetic is elementwise that of one trial at a time.
     """
     if not (params.b > 0.0 and params.c > 0.0):
         raise ValueError("perturbation experiment requires b > 0 and c > 0")
@@ -142,20 +153,32 @@ def perturbation_experiment(
     ec, eb = math.frexp(c)[1], math.frexp(params.b)[1]
     r = e + (eb - ec)  # row i is carried in units of 2**(r_i + ec)
     rows, cols = np.tril_indices(n, -1)
-    lt = np.zeros((n, n))  # lt[k, i] = perturbed B[i, k] * 2**-ec for i > k
-    u = np.empty(n)
+    batch = max(1, _BATCH_BYTES // (8 * n * n))
+    lt = np.empty((min(batch, trials), n, n))  # lt[t, k, i] = trial t's B[i, k] * 2**-ec, i > k
     never = np.iinfo(np.int64).min
     worst = (never, 0.0)  # largest |x~_k - x_k| over the trials as (exponent, mantissa)
-    for stream in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(stream)
-        dd = np.ldexp(sub.d * (1.0 + rng.uniform(-epsilon, epsilon, n)), -eb)
-        lt[cols, rows] = np.ldexp(c * (1.0 + rng.uniform(-epsilon, epsilon, len(rows))), -ec)
-        acc = np.ldexp(c * (1.0 + rng.uniform(-epsilon, epsilon, n)), -ec - r)
+    streams = np.random.SeedSequence(seed).spawn(trials)
+    for start in range(0, trials, batch):
+        chunk = streams[start : start + batch]
+        t = len(chunk)
+        dd = np.empty((t, n))
+        low = np.empty((t, len(rows)))
+        f = np.empty((t, n))
+        for s, stream in enumerate(chunk):  # each trial draws dd, low, f in turn
+            rng = np.random.default_rng(stream)
+            dd[s] = rng.uniform(-epsilon, epsilon, n)
+            low[s] = rng.uniform(-epsilon, epsilon, len(rows))
+            f[s] = rng.uniform(-epsilon, epsilon, n)
+        dd = np.ldexp(sub.d * (1.0 + dd), -eb)
+        lt[:t, cols, rows] = np.ldexp(c * (1.0 + low), -ec)
+        acc = np.ldexp(c * (1.0 + f), -ec - r)
+        u = np.empty((t, n))
         for k in range(n):  # row i still adds its terms k = 0..i-1 in order
-            u[k] = acc[k] / dd[k]
-            acc[k + 1 :] += np.ldexp(lt[k, k + 1 :] * u[k], e[k] - r[k + 1 :])
+            u[:, k] = acc[:, k] / dd[:, k]
+            acc[:, k + 1 :] += np.ldexp(lt[:t, k, k + 1 :] * u[:, k : k + 1], e[k] - r[k + 1 :])
         mant, ex = np.frexp(np.abs(u - sig))  # |x~_k - x_k| = mant_k 2**(ex_k + e_k)
-        ex = np.where(mant > 0.0, ex + e, never)
+        ex = np.where(mant > 0.0, ex + e, never).ravel()
+        mant = mant.ravel()
         k = np.lexsort((mant, ex))[-1]
         worst = max(worst, (int(ex[k]), float(mant[k])))
     ratio = (ExtScalar(worst[1]).scale_pow2(worst[0]) / denom).to_native()

@@ -72,7 +72,10 @@ class GammaRatio:
             and ratio.denominator.bit_length() <= _SMALL_RATIO_BITS
         ):
             return cls(ratio, True)
-        return cls(c / b, False)
+        gamma = c / b
+        if not math.isfinite(gamma):
+            raise ValueError("gamma = c/b exceeds the double range")
+        return cls(gamma, False)
 
     @classmethod
     def from_exact(cls, value: Union[Fraction, int]) -> "GammaRatio":
@@ -252,10 +255,11 @@ def read_matrix_market(src: Union[str, TextIO]) -> TriMatrix:
         if len(values) != nrows * ncols:
             raise ValueError(f"expected {nrows * ncols} array values, got {len(values)}")
         entries = np.array(values).reshape((ncols, nrows)).T
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("Matrix Market entries must be finite")
     else:
         nnz = int(dims[2])
-        entries = np.zeros((nrows, ncols))
-        seen = set()
+        coords: dict[tuple[int, int], float] = {}
         for line in src:
             tok = line.split()
             if not tok:
@@ -265,14 +269,20 @@ def read_matrix_market(src: Union[str, TextIO]) -> TriMatrix:
             i, j = int(tok[0]), int(tok[1])
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise ValueError(f"coordinate ({i}, {j}) outside a {nrows}x{ncols} matrix")
-            if (i, j) in seen:
+            if (i, j) in coords:
                 raise ValueError(f"duplicate coordinate ({i}, {j})")
-            seen.add((i, j))
-            entries[i - 1, j - 1] = float(tok[2])
-        if len(seen) != nnz:
-            raise ValueError(f"expected {nnz} coordinate entries, got {len(seen)}")
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("Matrix Market entries must be finite")
+            v = float(tok[2])
+            if not math.isfinite(v):
+                raise ValueError("Matrix Market entries must be finite")
+            coords[i, j] = v
+        if len(coords) != nnz:
+            raise ValueError(f"expected {nnz} coordinate entries, got {len(coords)}")
+        try:  # the entries are all valid, so only the size line can make this fail
+            entries = np.zeros((nrows, ncols))
+        except MemoryError:
+            raise ValueError(f"cannot allocate a dense matrix of size n = {nrows}") from None
+        for (i, j), v in coords.items():
+            entries[i - 1, j - 1] = v
     if shape_hint is not None:
         shape = shape_hint
     elif np.any(np.triu(entries, 1) != 0.0):

@@ -326,23 +326,44 @@ class GrowthFloorReport:
 def growth_floor_check(params: MatrixParams) -> GrowthFloorReport:
     """Check x_ij >= 2^(i-j) for every lower entry; must pass whenever gamma >= m.
 
-    x_ij depends only on k = i - j, so scanning k = 0..m-1 covers every entry;
-    the first violating k corresponds to entry (k+1, 1) in either scan order.
+    x_ij depends only on k = i - j, so the floor is z_k >= 2^k for k = 0..m-1.
+    For exact gamma > 0 one exact endpoint value certifies it: w_k = z_k / 2^k
+    has w_{k+1} / w_k = (gamma + k) / (2 (k + 1)), which exceeds 1 exactly
+    while k < gamma - 2, so w rises and then falls, and with w_0 = 1 the floor
+    holds on all of 0..m-1 iff it holds at k = m-1. Otherwise (a violation, an
+    inexact gamma, or gamma <= 0) the sequence is scanned, and the first
+    violating k gives the witness entry (k+1, 1) in either scan order.
     """
     params.require_distinct_eigenvalues()
     g = params.gamma()
-    growth = growth_sequence(g, params.m - 1)
-    first: tuple[int, int] | None = None
-    for k in range(params.m):
-        zk = growth[k]
+    m = params.m
+    if g.exact and g.value > 0 and _floor_holds_at(g.value, m - 1):
+        first = None
+    else:
+        first = _first_floor_violation(g, m)
+    count = m * (m + 1) // 2
+    return GrowthFloorReport(
+        m=m, gamma=g, passed=first is None, first_violation=first, checked_entries=count
+    )
+
+
+def _floor_holds_at(gamma: Fraction, k: int) -> bool:
+    """z_k >= 2^k in exact integers, for gamma = p/q > 0."""
+    p, q = gamma.numerator, gamma.denominator
+    if q == 1:
+        return math.comb(p + k - 1, k) >= 1 << k
+    # z_k = prod_{i<k} (p + i q) / (q^k k!)
+    return math.prod(range(p, p + k * q, q)) >= (2 * q) ** k * math.factorial(k)
+
+
+def _first_floor_violation(g: GammaRatio, m: int) -> tuple[int, int] | None:
+    # z_1 = gamma, so for gamma <= 0 the floor already fails at k = 1
+    growth = growth_sequence(g, m - 1 if g.as_float() > 0 else min(m - 1, 1))
+    for k, zk in enumerate(growth.z):
         if isinstance(zk, Fraction):
             ok = zk >= (1 << k)
         else:
             ok = zk.sign > 0 and zk.cmp_abs(ExtScalar.pow2(k)) >= 0
         if not ok:
-            first = (k + 1, 1)
-            break
-    count = params.m * (params.m + 1) // 2
-    return GrowthFloorReport(
-        m=params.m, gamma=g, passed=first is None, first_violation=first, checked_entries=count
-    )
+            return (k + 1, 1)
+    return None

@@ -2,6 +2,11 @@
 against an independent route (exact substitution, dense inversion, the
 `skeel_vectors` closed form, the native solvers), with failing cases shrunk
 to the smallest prefix that still fails.
+
+Exact work is done once: `run_suites` builds one Skeel table for both Skeel
+suites (one exact pass per distinct gamma of the grid, whose systems are
+leading prefixes of one another), the inverse check keeps running column
+sums, and the growth floor is certified at one endpoint (`growth_floor_check`).
 """
 
 from __future__ import annotations
@@ -10,13 +15,15 @@ import math
 import sys as _sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .conditioning import skeel_bound, skeel_exact
+from .conditioning import skeel_bound, skeel_exact_prefixes
 from .matgen import GeneralSystem, MatrixParams, build_eigvec_subsystem
 from .oracle import (
+    FractionMatrix,
     OmegaSequence,
     growth_floor_check,
     growth_sequence,
@@ -103,23 +110,16 @@ def suite_omega_identity(seed: int, max_n: int, cases: int) -> SuiteResult:
 
 
 def suite_inverse_exact(seed: int, max_n: int, cases: int) -> SuiteResult:
-    """G * inverse_closed_form(G) == I exactly in rational arithmetic."""
+    """G * inverse_closed_form(G) == I exactly in rational arithmetic.
+
+    Row i of G H is d_i h_ij - c sum_{k<i} h_kj, so a running sum of each
+    column of H as i ascends checks every entry in O(n^2).
+    """
     res = SuiteResult("inverse-exact")
     rng = np.random.default_rng(seed)
 
     def fails(sys: GeneralSystem) -> bool:
-        n = sys.n
-        h = inverse_closed_form(sys)
-        c = Fraction(sys.c)
-        d = [Fraction(float(v)) for v in sys.d]
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                acc = d[i - 1] * h[i, j]
-                for k in range(1, i):
-                    acc += -c * h[k, j]
-                if acc != (1 if i == j else 0):
-                    return True
-        return False
+        return _inverse_fails(sys, inverse_closed_form(sys))
 
     for _ in range(cases):
         sys = _random_system(rng, int(rng.integers(1, max_n + 1)), positive=False)
@@ -128,6 +128,21 @@ def suite_inverse_exact(seed: int, max_n: int, cases: int) -> SuiteResult:
             sys = _shrink_system(sys, fails)
         res.check(not bad, lambda s=sys: _describe(s, "G*H != I"))
     return res
+
+
+def _inverse_fails(sys: GeneralSystem, h: FractionMatrix) -> bool:
+    """Whether G h differs from the identity, exactly."""
+    n = sys.n
+    c = Fraction(sys.c)
+    above = [Fraction(0)] * n  # above[j-1] = sum_{k<i} h_kj
+    for i in range(1, n + 1):
+        di = Fraction(float(sys.d[i - 1]))
+        for j in range(1, n + 1):
+            hij = h[i, j]
+            if di * hij - c * above[j - 1] != (1 if i == j else 0):
+                return True
+            above[j - 1] += hij
+    return False
 
 
 def suite_eigen_relation(seed: int, max_m: int, cases: int) -> SuiteResult:
@@ -198,27 +213,47 @@ def _skeel_grid(max_n: int) -> Iterable[tuple[float, int]]:
         yield float(n) if n > 1 else 1.5, n  # gamma = n needs gamma > 1
 
 
-def suite_skeel_consistency(max_n: int) -> SuiteResult:
+SkeelTable = dict[tuple[float, int], tuple[float, float]]
+
+
+def skeel_table(max_n: int) -> SkeelTable:
+    """(gamma, n) -> (skeel_exact, skeel_vectors closed form) on the Skeel grid.
+
+    The grid systems d = 1..n with one gamma are leading prefixes of one
+    another, so each distinct gamma takes one exact pass with running maxima
+    (`skeel_exact_prefixes`) and one closed-form evaluation at its largest n.
+    """
+    sizes: dict[float, list[int]] = {}
+    for g, n in _skeel_grid(max_n):
+        sizes.setdefault(g, []).append(n)
+    table = {}
+    for g, ns in sizes.items():
+        sys = GeneralSystem(np.arange(1, max(ns) + 1, dtype=np.float64), g)
+        kappas = skeel_exact_prefixes(sys)
+        _, z = skeel_vectors(sys)
+        zmax = list(accumulate(z, max))
+        xmax = list(accumulate((abs(v) for v in solve_closed_form(sys)), max))
+        for n in ns:
+            table[g, n] = (kappas[n - 1], float(zmax[n - 1] / xmax[n - 1]))
+    return table
+
+
+def suite_skeel_consistency(max_n: int, table: SkeelTable) -> SuiteResult:
     """skeel_exact (one exact pass with running maxima) agrees with the
-    skeel_vectors closed form."""
+    skeel_vectors closed form; both come from `skeel_table`."""
     res = SuiteResult("skeel-consistency")
     for g, n in _skeel_grid(max_n):
-        sys = GeneralSystem(np.arange(1, n + 1, dtype=np.float64), g)
-        kappa = skeel_exact(sys)
-        x = solve_closed_form(sys)
-        _, z = skeel_vectors(sys)
-        closed = float(max(z) / max(abs(v) for v in x))
+        kappa, closed = table[g, n]
         ok = abs(kappa - closed) <= 1e-12 * abs(closed)
         res.check(ok, lambda g=g, n=n: f"skeel mismatch at gamma={g} n={n}")
     return res
 
 
-def suite_skeel_bound(max_n: int) -> SuiteResult:
+def suite_skeel_bound(max_n: int, table: SkeelTable) -> SuiteResult:
     """kappa_exact <= analytic bound on the grid; specialized bound for gamma=n=m."""
     res = SuiteResult("skeel-bound")
     for g, n in _skeel_grid(max_n):
-        sys = GeneralSystem(np.arange(1, n + 1, dtype=np.float64), g)
-        kappa = skeel_exact(sys)
+        kappa = table[g, n][0]
         bound = skeel_bound(g, n)
         res.check(
             kappa >= 1.0 and kappa <= bound,
@@ -338,10 +373,12 @@ def run_suites(
         out.append(suite_eigen_relation(seed + 2, max_m=min(30, max_m), cases=20))
     if "growth" in picked:
         out.append(suite_growth(max_m, params))
+    if picked & {"skeel-consistency", "skeel-bound"}:
+        table = skeel_table(max_n)
     if "skeel-consistency" in picked:
-        out.append(suite_skeel_consistency(max_n))
+        out.append(suite_skeel_consistency(max_n, table))
     if "skeel-bound" in picked:
-        out.append(suite_skeel_bound(max_n))
+        out.append(suite_skeel_bound(max_n, table))
     if "solver-agreement" in picked:
         out.append(suite_solver_agreement(seed + 3, max_m=max_m, cases=30))
     return out

@@ -2,8 +2,10 @@
 closed-form code paths: plain substitution, dense rational inversion, and
 dense triple products, all in exact Fraction arithmetic; plus the slow
 per-column and per-entry routes that the one-sequence fast paths replaced,
-and the per-element ExtScalar routes that the shifted float64 kernels
-replaced.
+the per-element ExtScalar routes that the shifted float64 kernels
+replaced, and the routes the exact checks replaced: the per-trial
+perturbation loop, the full growth-floor scan, the per-grid-point Skeel
+suites and the O(n^3) inverse check.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from trigrow import (
     ExtScalar,
+    GrowthFloorReport,
     PerturbStats,
     GeneralSystem,
     MatrixParams,
@@ -29,13 +32,17 @@ from trigrow import (
     eigenvalues,
     eigenvector_matrix,
     ext_solve,
+    growth_sequence,
     naive_solve,
     robust_solve,
     skeel_bound,
+    skeel_exact,
+    skeel_vectors,
     solve_closed_form,
 )
 from trigrow.extscalar import ZERO
 from trigrow.oracle import exact_to_json
+from trigrow.verify import SuiteResult, _skeel_grid
 
 
 def brute_solve(sys: GeneralSystem) -> list[Fraction]:
@@ -291,6 +298,110 @@ def per_column_structured_residuals(params: MatrixParams, outcomes) -> np.ndarra
             col = list(reversed(o.result)) if upper else o.result
             res[idx] = _extscalar_column_residual(params, col[j - 1 :], norm_a, lam)
     return res
+
+
+def per_trial_perturbation(
+    params: MatrixParams, j: int, epsilon: float, trials: int, seed: int
+) -> PerturbStats:
+    """The perturbation experiment with each trial substituted on its own,
+    on the same shifted float64 data as the batched route."""
+    sub = build_eigvec_subsystem(params, j)
+    n = sub.n
+    x = solve_closed_form(sub)
+    kappa_bound = skeel_bound(params.gamma().as_float(), n)
+    denom = ExtScalar.from_fraction(
+        Fraction(float(epsilon)) * max(abs(v) for v in x) * Fraction(kappa_bound)
+    )
+    x_ext = [ExtScalar.from_fraction(v) for v in x]
+    sig = np.array([v.significand for v in x_ext])
+    e = np.array([v.exponent for v in x_ext], dtype=np.int64)
+    c = float(sub.c)
+    ec, eb = math.frexp(c)[1], math.frexp(params.b)[1]
+    r = e + (eb - ec)
+    rows, cols = np.tril_indices(n, -1)
+    lt = np.zeros((n, n))
+    u = np.empty(n)
+    never = np.iinfo(np.int64).min
+    worst = (never, 0.0)
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(stream)
+        dd = np.ldexp(sub.d * (1.0 + rng.uniform(-epsilon, epsilon, n)), -eb)
+        lt[cols, rows] = np.ldexp(c * (1.0 + rng.uniform(-epsilon, epsilon, len(rows))), -ec)
+        acc = np.ldexp(c * (1.0 + rng.uniform(-epsilon, epsilon, n)), -ec - r)
+        for k in range(n):
+            u[k] = acc[k] / dd[k]
+            acc[k + 1 :] += np.ldexp(lt[k, k + 1 :] * u[k], e[k] - r[k + 1 :])
+        mant, ex = np.frexp(np.abs(u - sig))
+        ex = np.where(mant > 0.0, ex + e, never)
+        k = np.lexsort((mant, ex))[-1]
+        worst = max(worst, (int(ex[k]), float(mant[k])))
+    ratio = (ExtScalar(worst[1]).scale_pow2(worst[0]) / denom).to_native()
+    return PerturbStats(float(epsilon), trials, ratio, seed)
+
+
+def scan_growth_floor_check(params: MatrixParams) -> GrowthFloorReport:
+    """The growth floor checked at every k = 0..m-1 of the whole sequence."""
+    params.require_distinct_eigenvalues()
+    g = params.gamma()
+    growth = growth_sequence(g, params.m - 1)
+    first = None
+    for k in range(params.m):
+        zk = growth[k]
+        if isinstance(zk, Fraction):
+            ok = zk >= (1 << k)
+        else:
+            ok = zk.sign > 0 and zk.cmp_abs(ExtScalar.pow2(k)) >= 0
+        if not ok:
+            first = (k + 1, 1)
+            break
+    count = params.m * (params.m + 1) // 2
+    return GrowthFloorReport(params.m, g, first is None, first, count)
+
+
+def per_point_skeel_suites(max_n: int) -> tuple[SuiteResult, SuiteResult]:
+    """skeel-consistency and skeel-bound with skeel_exact, solve_closed_form and
+    skeel_vectors called afresh at every grid point."""
+    cons = SuiteResult("skeel-consistency")
+    bnd = SuiteResult("skeel-bound")
+    for g, n in _skeel_grid(max_n):
+        sys = GeneralSystem(np.arange(1, n + 1, dtype=np.float64), g)
+        kappa = skeel_exact(sys)
+        x = solve_closed_form(sys)
+        _, z = skeel_vectors(sys)
+        closed = float(max(z) / max(abs(v) for v in x))
+        ok = abs(kappa - closed) <= 1e-12 * abs(closed)
+        cons.check(ok, lambda g=g, n=n: f"skeel mismatch at gamma={g} n={n}")
+    for g, n in _skeel_grid(max_n):
+        kappa = skeel_exact(GeneralSystem(np.arange(1, n + 1, dtype=np.float64), g))
+        bound = skeel_bound(g, n)
+        bnd.check(
+            kappa >= 1.0 and kappa <= bound,
+            lambda g=g, n=n, k=kappa, b=bound: f"bound violated: gamma={g} n={n} kappa={k} bound={b}",
+        )
+    for m in (5, 50, 200):
+        if m > max_n:
+            continue
+        b = skeel_bound(float(m), m)
+        bnd.check(
+            b <= 2.0 * (1.0 + m * math.log(2.0)) + 1e-9,
+            lambda m=m: f"specialized bound violated at m={m}",
+        )
+    return cons, bnd
+
+
+def cubic_inverse_fails(sys: GeneralSystem, h) -> bool:
+    """Whether G h differs from the identity, with each entry of G h summed afresh."""
+    n = sys.n
+    c = Fraction(sys.c)
+    d = [Fraction(float(v)) for v in sys.d]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            acc = d[i - 1] * h[i, j]
+            for k in range(1, i):
+                acc += -c * h[k, j]
+            if acc != (1 if i == j else 0):
+                return True
+    return False
 
 
 @pytest.fixture

@@ -269,6 +269,30 @@ class TestPerturb:
         assert rc == 2
 
 
+class TestOverflowingGamma:
+    # c/b = 1e610 is beyond the double range although b and c are finite
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perturb", "-m", "60", "-j", "1", "--trials", "2"],
+            ["cond", "-m", "6"],
+            ["growth", "-m", "6"],
+        ],
+        ids=["perturb", "cond", "growth"],
+    )
+    def test_exits_2_naming_gamma(self, capsys, tmp_path, argv):
+        out = str(tmp_path / "r.json")
+        rc, _, err = run(capsys, *argv, "-b", "1e-310", "-c", "1e300", "-o", out)
+        assert rc == 2
+        assert "gamma = c/b exceeds the double range" in err
+
+    def test_gen_A_needs_no_finite_gamma(self, capsys, tmp_path):
+        out = str(tmp_path / "a.mtx")
+        rc, stdout, _ = run(capsys, "gen", "-m", "6", "-b", "1e-310", "-c", "1e300", "-o", out)
+        assert rc == 0 and "gamma=inf" in stdout
+        assert read_matrix_market(out)[2, 1] == -1e300
+
+
 class TestVerify:
     def test_single_suite(self, capsys, tmp_path):
         out = str(tmp_path / "v.json")

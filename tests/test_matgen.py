@@ -71,9 +71,13 @@ class TestGammaRatio:
         assert g.exact and g.value == Fraction(5, 2)
 
     def test_huge_scale_gap_falls_back_to_float(self):
-        g = GammaRatio.from_cb(1e300, 3e-200)
+        g = GammaRatio.from_cb(1e100, 3e-200)
         assert not g.exact
-        assert g.as_float() == pytest.approx(1e300 / 3e-200)
+        assert g.as_float() == pytest.approx(1e100 / 3e-200)
+
+    def test_ratio_beyond_double_range_rejected(self):
+        with pytest.raises(ValueError, match="gamma"):
+            GammaRatio.from_cb(1e300, 3e-200)
 
     def test_b_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -250,6 +254,11 @@ class TestMatrixMarketMalformed:
     def test_duplicate_coordinate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             read_matrix_market(_coordinate("2 2 2", "1 1 1.0", "1 1 2.0"))
+
+    def test_unallocatable_size_line_rejected(self):
+        # the dense array was allocated from the size line before any entry was read
+        with pytest.raises(ValueError, match="n = 1000000000"):
+            read_matrix_market(_coordinate("1000000000 1000000000 1", "1 1 1.0"))
 
     @pytest.mark.parametrize(
         "text",
