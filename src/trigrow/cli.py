@@ -24,6 +24,8 @@ from .matgen import (
     Orientation,
     TriMatrix,
     build_A,
+    check_dense_size,
+    format_distinct,
     write_matrix_market,
 )
 from .oracle import (
@@ -45,6 +47,10 @@ EXIT_VERIFICATION = 3
 # ---------------------------------------------------------------------------
 
 
+class _Rendered(str):
+    """JSON text rendered ahead of time; render_json emits it unchanged."""
+
+
 def render_json(obj: Any, indent: int = 0) -> str:
     pad = "  " * indent
     if obj is None:
@@ -54,14 +60,11 @@ def render_json(obj: Any, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return _json_string(obj)
+        return obj if type(obj) is _Rendered else _json_string(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if v != v or v in (float("inf"), float("-inf")):
-            raise ValueError(f"non-finite float {v!r} cannot appear in a report")
-        return format(v, ".17g")
+        return _json_float(float(obj))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -72,9 +75,25 @@ def render_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
+        if all(type(v) is _Rendered for v in obj):
+            return f"[\n{pad}  " + f",\n{pad}  ".join(obj) + f"\n{pad}]"
         items = [f"{pad}  {render_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
+
+
+def _json_float(v: float) -> str:
+    if v != v or v in (float("inf"), float("-inf")):
+        raise ValueError(f"non-finite float {v!r} cannot appear in a report")
+    return format(v, ".17g")
+
+
+def _rendered_float(v: float) -> _Rendered:
+    return _Rendered(_json_float(v))
+
+
+def _rendered_exact(v) -> _Rendered:
+    return _Rendered(_json_string(exact_to_json(v)))
 
 
 # '"' and '\\' escaped, code points below 0x20 as \u00XX, everything else verbatim
@@ -205,6 +224,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.what == "X":
         params.require_distinct_eigenvalues()
+    check_dense_size(params.m)
     # c / b rounds exactly as GammaRatio.as_float(), and A needs no finite gamma
     gamma = f"{params.c / params.b!r}" if params.b != 0.0 else "undefined"
     out = args.output
@@ -223,16 +243,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _matrix_json(params: MatrixParams, what: str) -> dict:
+    # every entry is rendered once per distinct value, then the rows are joined
     if what == "A":
         mat = build_A(params)
-        entries = [[float(v) for v in row] for row in mat.entries]
+        memo: dict[int, str] = {}
+        entries = [format_distinct(row, _rendered_float, memo).tolist() for row in mat.entries]
         return {"kind": "A", "n": mat.n, "shape": mat.shape.value, "entries": entries}
     dec = eigenvector_matrix(params)
     return {
         "kind": "X",
         "n": params.m,
         "shape": params.orientation.value,
-        "entries_exact": dec.rows(exact_to_json),
+        "entries_exact": dec.rows(_rendered_exact),
         "eigenvalues": [float(v) for v in dec.lambdas],
     }
 

@@ -13,12 +13,26 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TextIO, Union
+from typing import Callable, TextIO, Union
 
 import numpy as np
 
 # beyond this many bits the exact-rational oracle path is not worth it
 _SMALL_RATIO_BITS = 64
+
+# The most elements of any dense m x m float64 array built here (2 GiB, so
+# m <= 16384). A larger m is refused before allocation: numpy would otherwise
+# fail with a traceback, or commit memory the machine does not have.
+MAX_DENSE_ELEMENTS = 1 << 28
+
+
+def check_dense_size(m: int) -> None:
+    """Raise ValueError if a dense m x m array exceeds MAX_DENSE_ELEMENTS."""
+    if m * m > MAX_DENSE_ELEMENTS:
+        raise ValueError(
+            f"m = {m} needs a dense {m}x{m} array, above the limit of "
+            f"{MAX_DENSE_ELEMENTS} elements (m <= {math.isqrt(MAX_DENSE_ELEMENTS)})"
+        )
 
 
 class Orientation(str, Enum):
@@ -151,6 +165,7 @@ class GeneralSystem:
             raise ValueError(f"singular system: d_{k} = 0")
 
     def to_trimatrix(self) -> TriMatrix:
+        check_dense_size(self.n)
         g = np.full((self.n, self.n), -self.c)
         g = np.tril(g, -1)
         np.fill_diagonal(g, self.d)
@@ -160,6 +175,7 @@ class GeneralSystem:
 def build_A(params: MatrixParams) -> TriMatrix:
     """The test matrix: diagonal a + j*b, constant -c on one strict triangle."""
     m = params.m
+    check_dense_size(m)
     lower = np.tril(np.full((m, m), -params.c), -1)
     np.fill_diagonal(lower, params.a + np.arange(1, m + 1, dtype=np.float64) * params.b)
     mat = TriMatrix(lower, Orientation.LOWER)
@@ -193,10 +209,37 @@ def flip(mat: TriMatrix) -> TriMatrix:
 _SHAPE_COMMENT = "% shape: "
 
 
+def format_distinct(
+    values: np.ndarray, fmt: Callable[[float], str], memo: dict[int, str]
+) -> np.ndarray:
+    """fmt(v) for every v of a 1-D float64 block, as an object array.
+
+    fmt runs once per distinct float64 bit pattern, not per value: 0.0 and
+    -0.0 are equal but print differently. memo maps a bit pattern to its
+    string and is shared by the blocks of one call site.
+    """
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    strs = []
+    for k, v in zip(keys.tolist(), keys.view(np.float64).tolist()):
+        s = memo.get(k)
+        if s is None:
+            s = memo[k] = fmt(v)
+        strs.append(s)
+    return np.array(strs, dtype=object)[inverse]
+
+
+def _mm_line(v: float) -> str:
+    return f"{v!r}\n"
+
+
 def write_matrix_market(
     mat: TriMatrix, dest: Union[str, TextIO], fmt: str = "array"
 ) -> None:
-    """Write in Matrix Market format; floats round-trip bit-exactly."""
+    """Write in Matrix Market format; floats round-trip bit-exactly.
+
+    Each distinct value is formatted once, and the lines are written one
+    column (array) or one row (coordinate) at a time.
+    """
     if fmt not in ("array", "coordinate"):
         raise ValueError(f"format must be 'array' or 'coordinate', got {fmt!r}")
     if isinstance(dest, str):
@@ -206,18 +249,20 @@ def write_matrix_market(
     out = dest
     n = mat.n
     e = mat.entries
+    memo: dict[int, str] = {}
     out.write(f"%%MatrixMarket matrix {fmt} real general\n")
     out.write(f"{_SHAPE_COMMENT}{mat.shape.value}\n")
     if fmt == "array":
         out.write(f"{n} {n}\n")
-        for j in range(n):  # array format is column-major
-            for i in range(n):
-                out.write(f"{float(e[i, j])!r}\n")
+        for col in e.T:  # array format is column-major
+            out.write("".join(format_distinct(col, _mm_line, memo).tolist()))
     else:
-        rows, cols = np.nonzero(e)
-        out.write(f"{n} {n} {len(rows)}\n")
-        for i, j in zip(rows, cols):
-            out.write(f"{i + 1} {j + 1} {float(e[i, j])!r}\n")
+        out.write(f"{n} {n} {np.count_nonzero(e)}\n")
+        col_prefix = np.array([f"{j} " for j in range(1, n + 1)], dtype=object)
+        for i, row in enumerate(e):
+            cols = np.flatnonzero(row)
+            lines = f"{i + 1} " + col_prefix[cols] + format_distinct(row[cols], _mm_line, memo)
+            out.write("".join(lines.tolist()))
 
 
 def read_matrix_market(src: Union[str, TextIO]) -> TriMatrix:

@@ -9,16 +9,24 @@ form. Solvers elsewhere are validated against these values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, TypeVar, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 import numpy as np
 
 from .extscalar import ExtScalar
-from .matgen import GammaRatio, GeneralSystem, MatrixParams, Orientation, TriMatrix
+from .matgen import (
+    GammaRatio,
+    GeneralSystem,
+    MatrixParams,
+    Orientation,
+    TriMatrix,
+    check_dense_size,
+)
 
 Exactish = Union[Fraction, ExtScalar]
 T = TypeVar("T")
@@ -188,30 +196,31 @@ def growth_sequence(gamma: Union[GammaRatio, int, float, Fraction], kmax: int) -
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     g = _coerce_gamma(gamma)
+    return GrowthSequence(g, tuple(itertools.islice(_growth_terms(g), kmax + 1)))
+
+
+def _growth_terms(g: GammaRatio) -> Iterator[Exactish]:
+    """z_0, z_1, ... without end: exact for exact gamma, ExtScalar otherwise."""
     if g.exact:
         gv = g.value
         if gv.denominator == 1:
             # integer gamma: the recurrence stays in (exact) big integers
             gi = gv.numerator
             zk = 1
-            zs: list[Exactish] = [Fraction(1)]
-            for k in range(kmax):
+            for k in itertools.count():
+                yield Fraction(zk)
                 zk = zk * (gi + k) // (k + 1)
-                zs.append(Fraction(zk))
         else:
             zf = Fraction(1)
-            zs = [zf]
-            for k in range(kmax):
+            for k in itertools.count():
+                yield zf
                 zf = zf * (gv + k) / (k + 1)
-                zs.append(zf)
     else:
         gf = float(g.value)
         ze = ExtScalar(1.0)
-        zs = [ze]
-        for k in range(kmax):
+        for k in itertools.count():
+            yield ze
             ze = ze * ExtScalar(gf + k) / ExtScalar(k + 1.0)
-            zs.append(ze)
-    return GrowthSequence(g, tuple(zs))
 
 
 def eigenvalues(params: MatrixParams) -> np.ndarray:
@@ -263,6 +272,7 @@ class EigenDecomposition:
 
     def to_trimatrix(self) -> TriMatrix:
         """Native-float X; raises OverflowError when entries exceed the double range."""
+        check_dense_size(self.m)
         return TriMatrix(np.array(self.rows(_to_float), dtype=np.float64), self.orientation)
 
 
@@ -357,9 +367,8 @@ def _floor_holds_at(gamma: Fraction, k: int) -> bool:
 
 
 def _first_floor_violation(g: GammaRatio, m: int) -> tuple[int, int] | None:
-    # z_1 = gamma, so for gamma <= 0 the floor already fails at k = 1
-    growth = growth_sequence(g, m - 1 if g.as_float() > 0 else min(m - 1, 1))
-    for k, zk in enumerate(growth.z):
+    # the recurrence runs only up to the first violation: k = 1 when gamma <= 0
+    for k, zk in enumerate(itertools.islice(_growth_terms(g), m)):
         if isinstance(zk, Fraction):
             ok = zk >= (1 << k)
         else:

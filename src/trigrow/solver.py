@@ -31,7 +31,14 @@ from typing import Sequence, Union
 import numpy as np
 
 from .extscalar import ONE, ZERO, ExtScalar
-from .matgen import GeneralSystem, MatrixParams, Orientation, TriMatrix, build_eigvec_subsystem
+from .matgen import (
+    GeneralSystem,
+    MatrixParams,
+    Orientation,
+    TriMatrix,
+    build_eigvec_subsystem,
+    check_dense_size,
+)
 from .oracle import eigenvalues
 
 OMEGA = _sys.float_info.max  # largest finite double
@@ -285,6 +292,7 @@ def residual(A: TriMatrix, lam: float, x: Union[ScaledVector, Sequence[ExtScalar
     orders below the peak of x enter as zero. The ratio is formed in
     ExtScalar, so it is never flushed to zero.
     """
+    check_dense_size(A.n)
     if isinstance(x, ScaledVector):
         peak = np.max(np.abs(x.values), initial=0.0)
         xs = np.ldexp(x.values, -int(np.frexp(peak)[1]))

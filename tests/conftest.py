@@ -3,15 +3,19 @@ closed-form code paths: plain substitution, dense rational inversion, and
 dense triple products, all in exact Fraction arithmetic; plus the slow
 per-column and per-entry routes that the one-sequence fast paths replaced,
 the per-element ExtScalar routes that the shifted float64 kernels
-replaced, and the routes the exact checks replaced: the per-trial
+replaced, the routes the exact checks replaced: the per-trial
 perturbation loop, the full growth-floor scan, the per-grid-point Skeel
-suites and the O(n^3) inverse check.
+suites and the O(n^3) inverse check; and the per-entry writers that
+formatting each distinct value once replaced: the Matrix Market writer,
+the recursive JSON renderer and the `gen --format json` reports.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from fractions import Fraction
+from typing import Any
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from trigrow import (
     SolveOutcome,
     SolveStatus,
     TriMatrix,
+    build_A,
     build_eigvec_subsystem,
     eigenvalues,
     eigenvector_matrix,
@@ -41,6 +46,7 @@ from trigrow import (
     solve_closed_form,
 )
 from trigrow.extscalar import ZERO
+from trigrow.cli import _json_string
 from trigrow.oracle import exact_to_json
 from trigrow.verify import SuiteResult, _skeel_grid
 
@@ -164,6 +170,76 @@ def per_entry_x_matrix(params: MatrixParams) -> TriMatrix:
             v = dec.entry(i, j)
             ent[i - 1, j - 1] = float(v) if isinstance(v, Fraction) else v.to_native()
     return TriMatrix(ent, params.orientation)
+
+
+def per_entry_matrix_market(mat: TriMatrix, fmt: str = "array") -> str:
+    """Matrix Market text with one repr and one write per entry."""
+    out = io.StringIO()
+    n = mat.n
+    e = mat.entries
+    out.write(f"%%MatrixMarket matrix {fmt} real general\n")
+    out.write(f"% shape: {mat.shape.value}\n")
+    if fmt == "array":
+        out.write(f"{n} {n}\n")
+        for j in range(n):
+            for i in range(n):
+                out.write(f"{float(e[i, j])!r}\n")
+    else:
+        rows, cols = np.nonzero(e)
+        out.write(f"{n} {n} {len(rows)}\n")
+        for i, j in zip(rows, cols):
+            out.write(f"{i + 1} {j + 1} {float(e[i, j])!r}\n")
+    return out.getvalue()
+
+
+def per_item_render_json(obj: Any, indent: int = 0) -> str:
+    """Report JSON with one recursive call per item and floats at 17 significant digits."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if v != v or v in (float("inf"), float("-inf")):
+            raise ValueError(f"non-finite float {v!r} cannot appear in a report")
+        return format(v, ".17g")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k in sorted(obj):
+            items.append(f"{pad}  {_json_string(str(k))}: {per_item_render_json(obj[k], indent + 1)}")
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        items = [f"{pad}  {per_item_render_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    raise TypeError(f"cannot render {type(obj).__name__} in a report")
+
+
+def per_entry_gen_json(params: MatrixParams, what: str) -> str:
+    """The `gen --format json` file, built entry by entry and rendered item by item."""
+    if what == "A":
+        mat = build_A(params)
+        entries = [[float(v) for v in row] for row in mat.entries]
+        report = {"kind": "A", "n": mat.n, "shape": mat.shape.value, "entries": entries}
+    else:
+        report = {
+            "kind": "X",
+            "n": params.m,
+            "shape": params.orientation.value,
+            "entries_exact": per_entry_x_json(params),
+            "eigenvalues": [float(v) for v in eigenvalues(params)],
+        }
+    return per_item_render_json(report) + "\n"
 
 
 def extscalar_perturbation(

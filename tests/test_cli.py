@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import per_item_render_json
 from trigrow import MatrixParams, Orientation, build_A, read_matrix_market
-from trigrow.cli import _json_string, main, render_json
+from trigrow.cli import _Rendered, _json_string, main, render_json
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -45,6 +46,12 @@ class TestRenderJson:
             assert _json_string(ch) == reference(ch)
             assert json.loads(_json_string(ch)) == ch
         assert _json_string("".join(chars)) == reference("".join(chars))
+
+    def test_rendered_text_passes_through(self):
+        # alone, among other items, and in a list of nothing else
+        frag = _Rendered('"1/2"')
+        text = render_json({"v": frag, "w": [frag, 2], "x": [frag, frag]})
+        assert text == per_item_render_json({"v": "1/2", "w": ["1/2", 2], "x": ["1/2", "1/2"]})
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

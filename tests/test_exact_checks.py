@@ -22,7 +22,7 @@ from trigrow import (
     perturbation_experiment,
 )
 from trigrow import verify
-from trigrow.oracle import FractionMatrix
+from trigrow.oracle import FractionMatrix, _first_floor_violation
 
 
 def test_perturbation_equals_per_trial_loop(rng):
@@ -57,34 +57,50 @@ def test_perturbation_batches_equal_per_trial_loop(m, b, c, j, trials):
     )
 
 
-@pytest.mark.parametrize(
-    "m, b, c",
-    [
-        (20, 1.0, 1.0),  # integer gamma below 2
-        (20, 2.0, 3.0),  # rational gamma below 2
-        (30, 1.0, 2.0),  # gamma = 2
-        (60, 1.0, 5.0),  # w rises, then falls below 1 before k = m-1
-        (60, 3.0, 10.0),
-        (40, 1.0, 39.0),
-        (40, 1.0, 40.0),
-        (40, 1.0, 41.0),
-        (40, 2.0, 79.0),
-        (40, 2.0, 81.0),
-        (40, 1.0, 1e6),  # far above m
-        (40, 3.0, 3e6 + 1.0),
-        (30, 1.0, 0.0),  # gamma <= 0
-        (30, 1.0, -3.0),
-        (30, 3.0, -7.0),
-        (30, 1e-300, 3.3e-296),  # inexact gamma = 33000
-        (60, 1e-280, 1e-300),  # inexact gamma ~ 1e-20: a violation
-        (1, 1.0, 5.0),
-        (1, 1.0, -5.0),
-        (1, 1e-300, 3.3e-296),
-    ],
-)
+FLOOR_CASES = [
+    (20, 1.0, 1.0),  # integer gamma below 2
+    (20, 2.0, 3.0),  # rational gamma below 2
+    (30, 1.0, 2.0),  # gamma = 2
+    (60, 1.0, 5.0),  # w rises, then falls below 1 before k = m-1
+    (60, 3.0, 10.0),
+    (11, 1.0, 5.0),  # the first violation at k = m-1
+    (40, 1.0, 39.0),
+    (40, 1.0, 40.0),
+    (40, 1.0, 41.0),
+    (40, 2.0, 79.0),
+    (40, 2.0, 81.0),
+    (40, 1.0, 1e6),  # far above m
+    (40, 3.0, 3e6 + 1.0),
+    (30, 1.0, 0.0),  # gamma <= 0
+    (30, 1.0, -3.0),
+    (30, 3.0, -7.0),
+    (30, 1e-300, 3.3e-296),  # inexact gamma = 33000
+    (60, 1e-280, 1e-300),  # inexact gamma ~ 1e-20: a violation
+    (1, 1.0, 5.0),
+    (1, 1.0, -5.0),
+    (1, 1e-300, 3.3e-296),
+]
+
+
+@pytest.mark.parametrize("m, b, c", FLOOR_CASES)
 def test_growth_floor_equals_full_scan(m, b, c):
     params = MatrixParams(m, 0.0, b, c)
     assert growth_floor_check(params) == scan_growth_floor_check(params)
+
+
+@pytest.mark.parametrize("m, b, c", FLOOR_CASES)
+def test_fallback_scan_equals_full_scan(m, b, c):
+    # the fallback alone, also where the endpoint certificate would answer first
+    params = MatrixParams(m, 0.0, b, c)
+    expect = scan_growth_floor_check(params).first_violation
+    assert _first_floor_violation(params.gamma(), m) == expect
+
+
+@pytest.mark.parametrize("b, c", [(2.0, 3.0), (1.0, 1.0), (1.0, -3.0), (1e-280, 1e-300)])
+def test_fallback_scan_stops_at_first_violation(b, c):
+    # a violation at k = 1 is found without the other 10^6 terms of the sequence
+    params = MatrixParams(10**6, 0.0, b, c)
+    assert _first_floor_violation(params.gamma(), params.m) == (2, 1)
 
 
 def test_inexact_gamma_cases_are_inexact():

@@ -23,12 +23,13 @@ from trigrow import (
     structured_residuals,
     write_matrix_market,
 )
-from trigrow.cli import _matrix_json
+from trigrow.cli import _matrix_json, render_json
 from trigrow.conditioning import skeel_exact_prefixes
 
 from conftest import (
     per_column_eigenvectors,
-    per_entry_x_json,
+    per_entry_gen_json,
+    per_entry_matrix_market,
     per_entry_x_matrix,
     random_positive_system,
     random_signed_system,
@@ -130,8 +131,7 @@ def test_skeel_prefixes_equal_per_prefix_skeel_exact(rng, make):
 def test_gen_x_equals_per_entry_route(b, c, exact, orientation):
     params = MatrixParams(9, 0.5, b, c, orientation)
     assert params.gamma().exact is exact
-    assert _matrix_json(params, "X")["entries_exact"] == per_entry_x_json(params)
-    fast, slow = io.StringIO(), io.StringIO()
+    assert render_json(_matrix_json(params, "X")) + "\n" == per_entry_gen_json(params, "X")
+    fast = io.StringIO()
     write_matrix_market(eigenvector_matrix(params).to_trimatrix(), fast)
-    write_matrix_market(per_entry_x_matrix(params), slow)
-    assert fast.getvalue() == slow.getvalue()
+    assert fast.getvalue() == per_entry_matrix_market(per_entry_x_matrix(params))
